@@ -21,19 +21,16 @@ Library layout:
 from utk.shapes import (
     JellyfishSpec,
     Shape,
-    canonical_code,
     caterpillar,
     complete_tree,
     enumerate_shapes,
     graft,
-    height,
     jellyfish,
     join,
     make_leaf,
     parse_code,
     parse_newick,
     to_newick,
-    white_leaf_count,
 )
 
 __version__ = "0.1.0"

@@ -28,15 +28,12 @@ payloads are plain dicts whose keys are stable:
 - tangle-*:  {n, d, count, tanglegrams?} / {text, n, universal}
 
 Exit codes: 0 ok, 1 check failed, 2 usage/parse error, 3 resource limit.
-``UTK_THREADS`` sets the default worker count for ``search``; a value that
-is not an integer is a usage error for every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -89,7 +86,11 @@ def _read_source(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
     path = Path(source)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. a literal too long to be a file name
+        is_file = False
+    if is_file:
         return path.read_text()
     return source
 
@@ -102,15 +103,6 @@ def _parse_shape(text: str, arity: int) -> Shape:
         return parse_code(text, arity)
     except ValueError as exc:
         raise _CliError(f"cannot parse shape: {exc}") from exc
-
-
-def _env_threads() -> int:
-    """The ``search`` worker default: ``$UTK_THREADS``, or 1 when unset."""
-    raw = os.environ.get("UTK_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _CliError(f"UTK_THREADS must be an integer, got {raw!r}") from None
 
 
 def _dump(data: dict | list) -> str:
@@ -219,24 +211,21 @@ def _cmd_build(args) -> int:
 def _report_dict(report, timing: bool) -> dict:
     payload = report.to_dict()
     if not timing:
-        # keep identical invocations byte-identical (also across --threads)
+        # keep identical invocations byte-identical
         payload.pop("wall_time")
     return payload
 
 
 def _cmd_search(args) -> int:
     for name, value in (("--max-candidates", args.max_candidates),
-                        ("--max-seconds", args.max_seconds),
-                        ("--threads", args.threads)):
+                        ("--max-seconds", args.max_seconds)):
         if value is not None and value <= 0:
             raise _CliError(f"{name} must be positive")
     limits = None
     if args.max_candidates or args.max_seconds:
         limits = SearchLimits(args.max_candidates, args.max_seconds)
     if args.chain or args.table:
-        reports = find_min_universal_chain(
-            args.n, args.d, args.redleaf, limits, args.threads
-        )
+        reports = find_min_universal_chain(args.n, args.d, args.redleaf, limits)
         last = reports[-1]
         if args.format == "json":
             _write(_dump([_report_dict(r, args.timing) for r in reports]), args.output)
@@ -257,7 +246,7 @@ def _cmd_search(args) -> int:
             _write("\n".join(lines), args.output)
         return EXIT_OK if last.authoritative else EXIT_RESOURCE_LIMIT
 
-    report = find_min_universal(args.n, args.d, args.redleaf, limits, args.threads)
+    report = find_min_universal(args.n, args.d, args.redleaf, limits)
     if args.format == "json":
         _write(_dump(_report_dict(report, args.timing)), args.output)
     elif args.format == "codes":
@@ -419,10 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="two-row comparison table")
     p.add_argument("--max-candidates", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument(
-        "--threads", type=int, default=_env_threads(),
-        help="worker processes for candidate sweeps (default $UTK_THREADS or 1)",
-    )
     p.add_argument(
         "--timing", action="store_true",
         help="include wall time (breaks byte-identical reruns)",

@@ -28,19 +28,27 @@ from utk.shapes import JellyfishSpec, Shape
 __all__ = ["is_induced_subtree", "mast", "jellyfish_mast"]
 
 
-def _flatten(shape: Shape) -> tuple[list[Shape], dict[int, int]]:
-    """Postorder node list plus an id() -> index lookup."""
+def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
+    """Postorder node list plus the children's indices per node.
+
+    A node object shared by several parents is listed once, so the dynamic
+    programs below memoize it once.
+    """
     nodes: list[Shape] = []
+    kids: list[list[int]] = []
     index: dict[int, int] = {}
 
-    def walk(node: Shape) -> None:
-        for kid in node.children:
-            walk(kid)
-        index[id(node)] = len(nodes)
-        nodes.append(node)
+    def walk(node: Shape) -> int:
+        i = index.get(id(node))
+        if i is None:
+            child_indices = [walk(kid) for kid in node.children]
+            i = index[id(node)] = len(nodes)
+            nodes.append(node)
+            kids.append(child_indices)
+        return i
 
     walk(shape)
-    return nodes, index
+    return nodes, kids
 
 
 def _injective_assignment(pattern_kids: list[int], host_kids: list[int],
@@ -84,10 +92,8 @@ def is_induced_subtree(pattern: Shape, host: Shape) -> bool:
     if pattern.has_red and not host.has_red:
         return False
 
-    pnodes, _ = _flatten(pattern)
-    hnodes, _ = _flatten(host)
-    p_kids = _child_indices(pnodes)
-    h_kids = _child_indices(hnodes)
+    pnodes, p_kids = _postorder(pattern)
+    hnodes, h_kids = _postorder(host)
 
     memo: dict[tuple[int, int], bool] = {}
 
@@ -116,12 +122,6 @@ def is_induced_subtree(pattern: Shape, host: Shape) -> bool:
     return emb(len(pnodes) - 1, len(hnodes) - 1)
 
 
-def _child_indices(nodes: list[Shape]) -> list[list[int]]:
-    """Child postorder-indices per node, for a postorder node list."""
-    index_of = {id(node): i for i, node in enumerate(nodes)}
-    return [[index_of[id(kid)] for kid in node.children] for node in nodes]
-
-
 def mast(t1: Shape, t2: Shape) -> int:
     """Leaf count of a maximum agreement subtree of two white binary shapes."""
     for t in (t1, t2):
@@ -130,10 +130,8 @@ def mast(t1: Shape, t2: Shape) -> int:
         if t.arity != 2:
             raise ValueError("mast is defined for binary shapes")
 
-    nodes1, _ = _flatten(t1)
-    nodes2, _ = _flatten(t2)
-    kids1 = _child_indices(nodes1)
-    kids2 = _child_indices(nodes2)
+    nodes1, kids1 = _postorder(t1)
+    nodes2, kids2 = _postorder(t2)
     memo: dict[tuple[int, int], int] = {}
 
     def m(i: int, j: int) -> int:

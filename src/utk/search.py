@@ -18,21 +18,21 @@ missing pattern (the deepest patterns, caterpillars first, have the highest
 rejection power).
 
 A sweep over a candidate size is exhaustive before the search moves on, so
-reported minima are exact and catalogs complete; re-verification of every
-reported shape goes through the independent embedding path.  Searches with
-d > 2 use the plain generator + embedding checks, which is fine at the desk
-scales where d-ary questions are asked.
+reported minima are exact and catalogs complete.  Searches with d > 2 run
+the same driver with an enumerate-and-embed step: every shape of the
+candidate size is generated and tested against the patterns with the
+embedding check, which is fine at the desk scales where d-ary questions are
+asked.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from utk.embedding import is_induced_subtree
-from utk.shapes import Shape, complete_tree, enumerate_shapes, parse_code
+from utk.shapes import Shape, _child_key, complete_tree, enumerate_shapes, parse_code
 
 __all__ = [
     "SearchLimits",
@@ -43,9 +43,6 @@ __all__ = [
     "find_min_universal_chain",
     "check_depth_conjecture",
 ]
-
-_CHILD_ORDER = str.maketrans({"o": "\x00", "r": "\x01", "(": "\x02", ")": "\x03"})
-
 
 @dataclass(frozen=True)
 class SearchLimits:
@@ -342,18 +339,27 @@ class _BinaryEngine:
 
     # -- candidate sweeps ---------------------------------------------------#
 
-    def sweep(self, m: int, k: int, budget: _Budget,
-              workers: int = 1) -> list[tuple[int, int, int]]:
+    def minimal_codes(self, m: int, k: int, budget: _Budget) -> list[str]:
+        """Codes of the k-universal size-m shapes, building the layers below
+        m (redleaf: red 0..m-1 and white 1..m) first."""
+        if self.redleaf:
+            for size in range(m):
+                self.ensure_red_layer(size, budget)
+            for size in range(1, m + 1):
+                self.ensure_white_layer(size, budget)
+        else:
+            for size in range(1, m):
+                self.ensure_white_layer(size, budget)
+        return [self.pair_code(m, pair) for pair in self.sweep(m, k, budget)]
+
+    def sweep(self, m: int, k: int, budget: _Budget) -> list[tuple[int, int, int]]:
         """Test every size-m candidate for k-universality; exhaustive."""
         tsplits = self.target_splits(k)
         if not self.redleaf and m == 1:
             budget.spend(1)
             return [(0, 0, 0)] if k == 1 else []
-        chunks = list(self._chunk_space(m))
-        if workers > 1 and len(chunks) > 1:
-            return self._sweep_parallel(m, tsplits, chunks, budget, workers)
         winners: list[tuple[int, int, int]] = []
-        for chunk in chunks:
+        for chunk in self._chunk_space(m):
             found, examined = self._scan_chunk(m, tsplits, chunk)
             winners.extend(found)
             budget.spend(examined)
@@ -406,28 +412,6 @@ class _BinaryEngine:
                     winners.append((i, a, b))
         return winners, examined
 
-    def _sweep_parallel(self, m, tsplits, chunks, budget, workers):
-        global _WORKER_STATE
-        _WORKER_STATE = (self, m, tsplits)
-        ctx = multiprocessing.get_context("fork")
-        winners: list[tuple[int, int, int]] = []
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                for found, examined in pool.imap(_scan_chunk_worker, chunks, chunksize=1):
-                    winners.extend(found)
-                    budget.spend(examined)
-        finally:
-            _WORKER_STATE = None
-        return winners
-
-
-_WORKER_STATE = None
-
-
-def _scan_chunk_worker(chunk):
-    engine, m, tsplits = _WORKER_STATE
-    return engine._scan_chunk(m, tsplits, chunk)
-
 
 def _combine_white(ba: int, bb: int, splits) -> int:
     out = ba | bb
@@ -455,7 +439,7 @@ def _combine_red(ra: int, wb: int, wsplits, rsplits) -> int:
 
 
 def _parent_code(ca: str, cb: str) -> str:
-    if cb.translate(_CHILD_ORDER) < ca.translate(_CHILD_ORDER):
+    if _child_key(cb) < _child_key(ca):
         ca, cb = cb, ca
     return "(" + ca + cb + ")"
 
@@ -465,78 +449,38 @@ def _parent_code(ca: str, cb: str) -> str:
 # --------------------------------------------------------------------------- #
 
 
-def _binary_chain(n: int, redleaf: bool, limits: SearchLimits | None,
-                  workers: int) -> list[SearchReport]:
-    engine = _BinaryEngine(n, redleaf)
-    budget = _Budget(limits)
-    reports: list[SearchReport] = []
-    prev_u = 1
-    for k in range(1, n + 1):
-        level_t0 = time.monotonic()
-        level_examined = budget.examined
-        m = max(k, prev_u)
-        try:
-            while True:
-                if redleaf:
-                    for size in range(m):
-                        engine.ensure_red_layer(size, budget)
-                    for size in range(1, m + 1):
-                        engine.ensure_white_layer(size, budget)
-                else:
-                    for size in range(1, m):
-                        engine.ensure_white_layer(size, budget)
-                winners = engine.sweep(m, k, budget, workers)
-                if winners:
-                    break
-                if redleaf:
-                    engine.ensure_red_layer(m, budget)
-                else:
-                    engine.ensure_white_layer(m, budget)
-                m += 1
-        except ResourceLimit as limit:
-            reports.append(
-                SearchReport(
-                    n=k, d=2, redleaf=redleaf, u_value=None, minimal_shapes=(),
-                    candidates_examined=limit.examined - level_examined,
-                    wall_time=time.monotonic() - level_t0,
-                    authoritative=False, limit_reason=limit.reason,
-                )
-            )
-            return reports
-        codes = sorted(engine.pair_code(m, pair) for pair in winners)
-        reports.append(
-            SearchReport(
-                n=k, d=2, redleaf=redleaf, u_value=m, minimal_shapes=tuple(codes),
-                candidates_examined=budget.examined - level_examined,
-                wall_time=time.monotonic() - level_t0,
-            )
-        )
-        prev_u = m
-    return reports
+def _embed_step(d: int, redleaf: bool) -> Callable[[int, int, _Budget], list[str]]:
+    """The d > 2 step: enumerate the size-m shapes and embed the patterns."""
 
-
-def _generic_chain(n: int, d: int, redleaf: bool, limits: SearchLimits | None,
-                   workers: int) -> list[SearchReport]:
-    budget = _Budget(limits)
-    reports: list[SearchReport] = []
-    prev_u = 1
-    for k in range(1, n + 1):
-        level_t0 = time.monotonic()
-        level_examined = budget.examined
+    def minimal_codes(m: int, k: int, budget: _Budget) -> list[str]:
         patterns = _ordered_patterns(k, d, redleaf)
         min_height = k if redleaf else k - 1
+        codes: list[str] = []
+        for cand in enumerate_shapes(m, d, redleaf):
+            budget.spend(1)
+            if cand.height < min_height:
+                continue
+            if all(is_induced_subtree(p, cand) for p in patterns):
+                codes.append(cand.code)
+        return codes
+
+    return minimal_codes
+
+
+def _chain(n: int, d: int, redleaf: bool, limits: SearchLimits | None,
+           minimal_codes: Callable[[int, int, _Budget], list[str]]) -> list[SearchReport]:
+    """Levels k = 1..n: grow the candidate size m from max(k, u(k - 1))
+    until ``minimal_codes(m, k, budget)``, the codes of the k-universal
+    shapes of size m, is not empty."""
+    budget = _Budget(limits)
+    reports: list[SearchReport] = []
+    prev_u = 1
+    for k in range(1, n + 1):
+        level_t0 = time.monotonic()
+        level_examined = budget.examined
         m = max(k, prev_u)
-        winners: list[Shape] = []
         try:
-            while True:
-                for cand in enumerate_shapes(m, d, redleaf):
-                    budget.spend(1)
-                    if cand.height < min_height:
-                        continue
-                    if all(is_induced_subtree(p, cand) for p in patterns):
-                        winners.append(cand)
-                if winners:
-                    break
+            while not (codes := minimal_codes(m, k, budget)):
                 m += 1
         except ResourceLimit as limit:
             reports.append(
@@ -551,7 +495,7 @@ def _generic_chain(n: int, d: int, redleaf: bool, limits: SearchLimits | None,
         reports.append(
             SearchReport(
                 n=k, d=d, redleaf=redleaf, u_value=m,
-                minimal_shapes=tuple(sorted(s.code for s in winners)),
+                minimal_shapes=tuple(sorted(codes)),
                 candidates_examined=budget.examined - level_examined,
                 wall_time=time.monotonic() - level_t0,
             )
@@ -561,8 +505,7 @@ def _generic_chain(n: int, d: int, redleaf: bool, limits: SearchLimits | None,
 
 
 def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
-                             limits: SearchLimits | None = None,
-                             workers: int = 1) -> tuple[SearchReport, ...]:
+                             limits: SearchLimits | None = None) -> tuple[SearchReport, ...]:
     """Reports for every level k = 1..n (the search for n needs the smaller
     values anyway).  If a resource limit fires, the last report is partial
     (``authoritative=False``) and the chain stops there."""
@@ -571,16 +514,17 @@ def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
     if d < 2:
         raise ValueError("need d >= 2")
     if d == 2:
-        return tuple(_binary_chain(n, redleaf, limits, workers))
-    return tuple(_generic_chain(n, d, redleaf, limits, workers))
+        step = _BinaryEngine(n, redleaf).minimal_codes
+    else:
+        step = _embed_step(d, redleaf)
+    return tuple(_chain(n, d, redleaf, limits, step))
 
 
 def find_min_universal(n: int, d: int = 2, redleaf: bool = False,
-                       limits: SearchLimits | None = None,
-                       workers: int = 1) -> SearchReport:
+                       limits: SearchLimits | None = None) -> SearchReport:
     """Exact minimal universal size and the complete catalog of minimal
     universal shapes for the given n (see ``find_min_universal_chain``)."""
-    reports = find_min_universal_chain(n, d, redleaf, limits, workers)
+    reports = find_min_universal_chain(n, d, redleaf, limits)
     last = reports[-1]
     if last.n != n:  # a limit stopped the chain early
         return SearchReport(

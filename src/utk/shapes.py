@@ -35,9 +35,6 @@ __all__ = [
     "caterpillar",
     "complete_tree",
     "jellyfish",
-    "white_leaf_count",
-    "height",
-    "canonical_code",
     "parse_code",
     "parse_newick",
     "to_newick",
@@ -247,18 +244,6 @@ def jellyfish(spec: JellyfishSpec | None = None, h: int | None = None,
 # --------------------------------------------------------------------------- #
 # Basic queries
 # --------------------------------------------------------------------------- #
-
-
-def white_leaf_count(shape: Shape) -> int:
-    return shape.white_leaves
-
-
-def height(shape: Shape) -> int:
-    return shape.height
-
-
-def canonical_code(shape: Shape) -> str:
-    return shape.code
 
 
 def leaf_colors(shape: Shape) -> list[bool]:

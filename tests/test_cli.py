@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from utk.cli import main
-from utk.shapes import parse_code
+from utk.shapes import caterpillar, parse_code
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +66,14 @@ class TestCheck:
     def test_newick_input(self, capsys):
         code, _, _ = run_cli(capsys, "check", "((x,x),(x,x));", "-n", "2")
         assert code == 0
+
+    def test_literal_longer_than_a_file_name(self, capsys):
+        literal = caterpillar(200).code
+        assert len(literal) > 255
+        code, out, err = run_cli(capsys, "check", literal, "-n", "4")
+        assert code == 1
+        assert "NOT universal" in out
+        assert err == ""
 
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "((oo)", "-n", "2")
@@ -140,11 +147,10 @@ class TestSearch:
         assert code == 3
         assert "PARTIAL RESULT" in out
 
-    def test_thread_count_does_not_change_output(self, capsys):
-        # byte-identical across thread counts (and across reruns)
-        _, seq, _ = run_cli(capsys, "search", "-n", "6", "--json", "--threads", "1")
-        _, par, _ = run_cli(capsys, "search", "-n", "6", "--json", "--threads", "2")
-        assert seq == par
+    def test_reruns_are_byte_identical(self, capsys):
+        _, first, _ = run_cli(capsys, "search", "-n", "6", "--json")
+        _, second, _ = run_cli(capsys, "search", "-n", "6", "--json")
+        assert first == second
 
     def test_timing_flag_adds_wall_time(self, capsys):
         _, out, _ = run_cli(capsys, "search", "-n", "4", "--json", "--timing")
@@ -223,17 +229,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "(o(oo))"
 
-    def test_utk_threads_env_default(self):
+    def test_search_module_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "utk.cli", "search", "-n", "5", "--json"],
-            capture_output=True, text=True, env={**os.environ, "UTK_THREADS": "2"},
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["u_value"] == 6
 
-    def test_utk_threads_non_integer_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("UTK_THREADS", "abc")
-        code, out, err = run_cli(capsys, "enumerate", "-n", "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("utk:") and "UTK_THREADS" in err
+    def test_threads_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "-n", "5", "--threads", "2"])
+        assert exc.value.code == 2

@@ -15,7 +15,6 @@ from oracles import (
 from utk.shapes import (
     JellyfishSpec,
     Shape,
-    canonical_code,
     caterpillar,
     complete_tree,
     count_shapes,
@@ -51,7 +50,7 @@ class TestLeavesAndJoin:
     def test_cherry(self):
         cherry = join([make_leaf(), make_leaf()])
         assert cherry.white_leaves == 2
-        assert canonical_code(cherry) == "(oo)"
+        assert cherry.code == "(oo)"
 
     def test_caterpillar_recursion(self):
         for n in range(2, 8):
