@@ -452,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     except (_CliError, ValueError) as exc:
         print(f"utk: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("utk: input too deep: a traversal exceeded Python's recursion limit",
+              file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

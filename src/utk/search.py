@@ -8,14 +8,15 @@ given size, by running the embedding dynamic program pattern by pattern
 or d-ary variant) together with the complete catalog of minimal universal
 shapes.  The binary searches run on a dedicated engine that never
 materializes candidate trees: every shape of a given size is a root over an
-unordered pair of smaller shapes, so the engine enumerates those pairs over
-layers of previously processed shapes and maintains, per shape, a bitset of
-which patterns (all shapes of size <= n) embed into it.  The bitset of a
-pair is the union of the parts' bitsets plus the patterns whose own root
-split lands in the two parts, which makes a universality test a handful of
-integer operations.  Candidate sweeps reject most candidates on their first
-missing pattern (the deepest patterns, caterpillars first, have the highest
-rejection power).
+unordered pair of smaller shapes, so the engine builds layers of shapes by
+size as pairs over smaller layers.  A layer is stored by column: for each
+pattern (every shape of size <= n) one integer whose bit h says whether
+the pattern embeds into the layer's host h.  A pattern embeds into a root
+over two parts when it embeds into one part or its own root split lands in
+the two parts, so with one part fixed, the pattern's column over all hosts
+of the other part is one to three ORs of that layer's whole columns.
+Candidate sweeps AND the target patterns' columns in the same way, deepest
+patterns (caterpillars first) first, and stop at the first empty result.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -28,6 +29,7 @@ asked.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -150,192 +152,227 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
 # --------------------------------------------------------------------------- #
 
 
-class _BinaryEngine:
-    """Pattern tables and per-shape pattern bitsets for d = 2 searches.
+class _Layer:
+    """One layer of hosts, stored by column.
 
-    Shapes of size m <= n_cap are the patterns themselves (indexed in
-    enumeration order); larger shapes exist only as (size, pair-index)
-    coordinates with parent pointers into smaller layers.
+    ``cols[p]`` is an int over the layer's hosts: bit h is set when pattern
+    p embeds into host h.  Hosts come in blocks; a block fixes one host of
+    one part and runs over the hosts of the other part's layer, and
+    ``offsets[k]`` is the index of block k's first host.
+    """
+
+    __slots__ = ("size", "cols", "ones", "offsets", "blocks", "_rows")
+
+    def __init__(self, size: int, cols: list[int], offsets: list[int],
+                 blocks: list[tuple[int, int, int, bool]]):
+        self.size = size
+        self.cols = cols
+        self.ones = (1 << size) - 1
+        self.offsets = offsets
+        self.blocks = blocks  # (i, fixed host, first position, fixed is the first part)
+        self._rows: list[int] | None = None
+
+    def rows(self) -> list[int]:
+        """Per host, the bitset of the patterns that embed into it (cached)."""
+        if self._rows is None:
+            rows = [0] * self.size
+            for p, col in enumerate(self.cols):
+                bit = 1 << p
+                text = format(col, "b")[::-1]
+                h = text.find("1")
+                while h >= 0:
+                    rows[h] |= bit
+                    h = text.find("1", h + 1)
+            self._rows = rows
+        return self._rows
+
+    def locate(self, h: int) -> tuple[int, int, int]:
+        """(i, a, b): host h is the root over host a of the first part's
+        layer (size i) and host b of the second part's layer."""
+        k = bisect_right(self.offsets, h) - 1
+        i, fixed, start, fixed_first = self.blocks[k]
+        pos = start + h - self.offsets[k]
+        return (i, fixed, pos) if fixed_first else (i, pos, fixed)
+
+
+def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
+    cols = [0] * n_patterns
+    cols[pid] = 1
+    return _Layer(1, cols, [], [])
+
+
+def _join(pieces: list[tuple[int, int]]) -> int:
+    """Concatenate (bits, width) pieces, the first one lowest.  Joining in
+    pairwise rounds costs O(total width * log(number of pieces))."""
+    while len(pieces) > 1:
+        joined = [(lo | hi << width, width + hi_width)
+                  for (lo, width), (hi, hi_width) in zip(pieces[::2], pieces[1::2])]
+        if len(pieces) % 2:
+            joined.append(pieces[-1])
+        pieces = joined
+    return pieces[0][0]
+
+
+class _BinaryEngine:
+    """Pattern tables and bit-sliced host layers for d = 2 searches.
+
+    The patterns are every white shape of size 1..n_cap and, for redleaf
+    searches, every red shape of size 0..n_cap; a pattern's pid is its
+    position in that order (white shapes by size, then red shapes by size,
+    each size in enumeration order).  A white shape of size m >= 2 is a
+    root over an unordered pair of white shapes of sizes i <= m - i; a red
+    shape of size m >= 1 is a root over a red shape of size i < m and a
+    white shape of size m - i.  Layer m holds every shape of size m once,
+    as such a pair, in ``white_layers[m]`` / ``red_layers[m]`` (see
+    ``_Layer``); layer 1 is ``o`` and red layer 0 is ``r``.
+
+    A group (i, m - i) of layer m is built one host of the smaller part at
+    a time.  With that host fixed (its pattern row taken from the columns)
+    the block of pattern p over the other part's layer, whose columns are C,
+    follows the containment rule for a root over two parts:
+
+    - every host contains p if the fixed part does;
+    - white p = (p1, p2): ``C[p] | (C[p2] if fixed has p1) | (C[p1] if
+      fixed has p2)``;
+    - red p = (q_red, q_white): ``C[q_white] if fixed has q_red`` when the
+      fixed part is the red one (a white part holds no red pattern), and
+      ``C[p] | (C[q_red] if fixed has q_white)`` when it is the white one;
+    - in a group (i, i), the block keeps only the hosts b >= a of the fixed
+      host a (shifted right by a), so each unordered pair appears once.
+
+    A sweep ANDs the target patterns' blocks, deepest pattern first, and
+    stops at the first empty result; the bits left are the winners.
     """
 
     def __init__(self, n_cap: int, redleaf: bool):
         self.n_cap = n_cap
         self.redleaf = redleaf
-
-        self.white_shapes = {m: list(enumerate_shapes(m, 2)) for m in range(1, n_cap + 1)}
-        self.white_index = {
-            m: {s.code: i for i, s in enumerate(shapes)}
-            for m, shapes in self.white_shapes.items()
-        }
-        pid = 0
-        self.white_pid: dict[str, int] = {}
-        for m in range(1, n_cap + 1):
-            for s in self.white_shapes[m]:
-                self.white_pid[s.code] = pid
-                pid += 1
-        self.red_pid: dict[str, int] = {}
+        patterns = [s for m in range(1, n_cap + 1) for s in enumerate_shapes(m, 2)]
+        self.n_white = len(patterns)
         if redleaf:
-            self.red_shapes = {
-                m: list(enumerate_shapes(m, 2, redleaf=True)) for m in range(n_cap + 1)
-            }
-            self.red_index = {
-                m: {s.code: i for i, s in enumerate(shapes)}
-                for m, shapes in self.red_shapes.items()
-            }
-            for m in range(n_cap + 1):
-                for s in self.red_shapes[m]:
-                    self.red_pid[s.code] = pid
-                    pid += 1
-
-        # Root splits of every pattern of size >= 2, grouped by white-leaf
-        # count: (bit, pid of one child, pid of the other).
-        self.white_splits = {m: [] for m in range(2, n_cap + 1)}
-        for m in range(2, n_cap + 1):
-            for s in self.white_shapes[m]:
-                c1, c2 = s.children
-                self.white_splits[m].append(
-                    (1 << self.white_pid[s.code], self.white_pid[c1.code],
-                     self.white_pid[c2.code])
-                )
-        self._white_splits_upto = {1: ()}
-        acc: list = []
-        for m in range(2, n_cap + 1):
-            acc.extend(self.white_splits[m])
-            self._white_splits_upto[m] = tuple(acc)
-
-        self.red_splits = {m: [] for m in range(1, n_cap + 1)}
-        if redleaf:
-            for m in range(1, n_cap + 1):
-                for s in self.red_shapes[m]:
-                    c1, c2 = s.children
-                    red_child, white_child = (c1, c2) if c1.has_red else (c2, c1)
-                    self.red_splits[m].append(
-                        (1 << self.red_pid[s.code], self.red_pid[red_child.code],
-                         self.white_pid[white_child.code])
-                    )
-            self._red_splits_upto = {0: ()}
-            acc = []
-            for m in range(1, n_cap + 1):
-                acc.extend(self.red_splits[m])
-                self._red_splits_upto[m] = tuple(acc)
-
-        # Host layers: bits per shape; parent coordinates for sizes > n_cap.
-        self.white_bits: dict[int, list[int]] = {}
-        self.white_struct: dict[int, list[tuple[int, int, int]]] = {}
-        self.red_bits: dict[int, list[int]] = {}
-        self.red_struct: dict[int, list[tuple[int, int, int]]] = {}
+            patterns += [s for m in range(n_cap + 1)
+                         for s in enumerate_shapes(m, 2, redleaf=True)]
+        self.patterns = patterns
+        pid = {s.code: p for p, s in enumerate(patterns)}
+        # Root split of each pattern by pid, the red child first; None for
+        # the leaves o and r.
+        self.splits: list[tuple[int, int] | None] = []
+        for s in patterns:
+            if not s.children:
+                self.splits.append(None)
+                continue
+            c1, c2 = s.children
+            if c2.has_red:
+                c1, c2 = c2, c1
+            self.splits.append((pid[c1.code], pid[c2.code]))
+        self.white_layers = {1: _leaf_layer(pid["o"], self.n_white)}
+        self.red_layers = {0: _leaf_layer(pid["r"], len(patterns))} if redleaf else {}
 
     # -- layer construction ------------------------------------------------ #
 
     def ensure_white_layer(self, m: int, budget: _Budget | None = None) -> None:
-        if m in self.white_bits:
-            return
-        if m == 1:
-            self.white_bits[1] = [1 << self.white_pid["o"]]
+        if m in self.white_layers:
             return
         for i in range(1, m // 2 + 1):
             self.ensure_white_layer(i, budget)
             self.ensure_white_layer(m - i, budget)
-        splits = self._white_splits_upto[min(m, self.n_cap)]
-        bits_out: list[int] = []
-        if m <= self.n_cap:
-            index = self.white_index
-            wbits = self.white_bits
-            for s in self.white_shapes[m]:
-                c1, c2 = s.children
-                i, j = c1.white_leaves, c2.white_leaves
-                ba = wbits[i][index[i][c1.code]]
-                bb = wbits[j][index[j][c2.code]]
-                bits_out.append(_combine_white(ba, bb, splits))
-            self.white_bits[m] = bits_out
-            return
-        struct: list[tuple[int, int, int]] = []
-        wbits = self.white_bits
-        for i in range(1, m // 2 + 1):
-            layer_a, layer_b = wbits[i], wbits[m - i]
-            same = i == m - i
-            for a, ba in enumerate(layer_a):
-                if budget is not None and a % 4096 == 0:
-                    budget.check_time()
-                for b in range(a if same else 0, len(layer_b)):
-                    bits_out.append(_combine_white(ba, layer_b[b], splits))
-                    struct.append((i, a, b))
-        self.white_bits[m] = bits_out
-        self.white_struct[m] = struct
+        plan = [blk for i in range(1, m // 2 + 1) for blk in self._group(m, i, red=False)]
+        self.white_layers[m] = self._build(plan, self.n_white, budget)
 
     def ensure_red_layer(self, m: int, budget: _Budget | None = None) -> None:
-        if m in self.red_bits:
-            return
-        if m == 0:
-            self.red_bits[0] = [1 << self.red_pid["r"]]
+        if m in self.red_layers:
             return
         for i in range(m):
             self.ensure_red_layer(i, budget)
             self.ensure_white_layer(m - i, budget)
-        cap = min(m, self.n_cap)
-        wsplits = self._white_splits_upto[cap]
-        rsplits = self._red_splits_upto[cap]
-        bits_out: list[int] = []
-        if m <= self.n_cap:
-            for s in self.red_shapes[m]:
-                c1, c2 = s.children
-                red_child, white_child = (c1, c2) if c1.has_red else (c2, c1)
-                i = red_child.white_leaves
-                ra = self.red_bits[i][self.red_index[i][red_child.code]]
-                wb = self.white_bits[m - i][
-                    self.white_index[m - i][white_child.code]
-                ]
-                bits_out.append(_combine_red(ra, wb, wsplits, rsplits))
-            self.red_bits[m] = bits_out
-            return
-        struct: list[tuple[int, int, int]] = []
-        for i in range(m):
-            layer_r, layer_w = self.red_bits[i], self.white_bits[m - i]
-            for a, ra in enumerate(layer_r):
-                if budget is not None and a % 4096 == 0:
-                    budget.check_time()
-                for b, wb in enumerate(layer_w):
-                    bits_out.append(_combine_red(ra, wb, wsplits, rsplits))
-                    struct.append((i, a, b))
-        self.red_bits[m] = bits_out
-        self.red_struct[m] = struct
+        plan = [blk for i in range(m) for blk in self._group(m, i, red=True)]
+        self.red_layers[m] = self._build(plan, len(self.patterns), budget)
+
+    def _group(self, m: int, i: int, red: bool) -> list[tuple[int, _Layer, bool, int, int, int]]:
+        """Blocks of group (i, m - i) of layer m, one per host of the smaller
+        part: (fixed row, other layer, fixed is the first part, i, fixed
+        host, first position kept)."""
+        first = self.red_layers[i] if red else self.white_layers[i]
+        second = self.white_layers[m - i]
+        if second.size < first.size:
+            return [(row, first, False, i, b, 0) for b, row in enumerate(second.rows())]
+        same = not red and 2 * i == m
+        return [(row, second, True, i, a, a if same else 0)
+                for a, row in enumerate(first.rows())]
+
+    def _build(self, plan, n_patterns: int, budget: _Budget | None) -> _Layer:
+        offsets: list[int] = []
+        blocks: list[tuple[int, int, int, bool]] = []
+        size = 0
+        for _, other, fixed_first, i, fixed, start in plan:
+            offsets.append(size)
+            blocks.append((i, fixed, start, fixed_first))
+            size += other.size - start
+        cols = []
+        for p in range(n_patterns):
+            if budget is not None:
+                budget.check_time()
+            cols.append(_join([
+                (self._block(p, row, other, fixed_first) >> start, other.size - start)
+                for row, other, fixed_first, _, _, start in plan
+            ]))
+        return _Layer(size, cols, offsets, blocks)
+
+    def _block(self, p: int, row: int, other: _Layer, fixed_first: bool) -> int:
+        """Column over ``other`` of the hosts that contain pattern p when
+        rooted over ``other``'s host and the fixed host with pattern row
+        ``row`` (see the class docstring)."""
+        if row >> p & 1:
+            return other.ones
+        split = self.splits[p]
+        cols = other.cols
+        if p < self.n_white:
+            blk = cols[p]
+            if split is not None:
+                p1, p2 = split
+                if row >> p1 & 1:
+                    blk |= cols[p2]
+                if row >> p2 & 1:
+                    blk |= cols[p1]
+            return blk
+        if fixed_first:
+            if split is not None and row >> split[0] & 1:
+                return cols[split[1]]
+            return 0
+        blk = cols[p]
+        if split is not None and row >> split[1] & 1:
+            blk |= cols[split[0]]
+        return blk
 
     # -- target tables ----------------------------------------------------- #
 
-    def target_splits(self, k: int) -> tuple[tuple[int, int, int], ...]:
-        """Root splits of the size-k patterns, deepest pattern first."""
-        if self.redleaf:
-            shapes = self.red_shapes[k]
-            splits = self.red_splits[k]
-        else:
-            if k == 1:
-                return ()  # the leaf pattern embeds in every white shape
-            shapes = self.white_shapes[k]
-            splits = self.white_splits[k]
-        order = sorted(range(len(shapes)), key=lambda i: (-shapes[i].height, i))
-        return tuple(splits[i] for i in order)
+    def target_pids(self, k: int) -> list[int]:
+        """The size-k candidate patterns (red ones for redleaf searches),
+        deepest pattern first."""
+        pids = [p for p, s in enumerate(self.patterns)
+                if s.has_red == self.redleaf and s.white_leaves == k]
+        return sorted(pids, key=lambda p: (-self.patterns[p].height, p))
 
     # -- code materialization ---------------------------------------------- #
 
     def white_code(self, m: int, idx: int) -> str:
-        if m <= self.n_cap:
-            return self.white_shapes[m][idx].code
-        i, a, b = self.white_struct[m][idx]
+        if m == 1:
+            return "o"
+        i, a, b = self.white_layers[m].locate(idx)
         return _parent_code(self.white_code(i, a), self.white_code(m - i, b))
 
     def red_code(self, m: int, idx: int) -> str:
-        if m <= self.n_cap:
-            return self.red_shapes[m][idx].code
-        i, a, b = self.red_struct[m][idx]
+        if m == 0:
+            return "r"
+        i, a, b = self.red_layers[m].locate(idx)
         return _parent_code(self.red_code(i, a), self.white_code(m - i, b))
 
     def pair_code(self, m: int, pair: tuple[int, int, int]) -> str:
         if not self.redleaf and m == 1:
             return "o"
         i, a, b = pair
-        if self.redleaf:
-            return _parent_code(self.red_code(i, a), self.white_code(m - i, b))
-        return _parent_code(self.white_code(i, a), self.white_code(m - i, b))
+        first = self.red_code(i, a) if self.redleaf else self.white_code(i, a)
+        return _parent_code(first, self.white_code(m - i, b))
 
     # -- candidate sweeps ---------------------------------------------------#
 
@@ -354,88 +391,36 @@ class _BinaryEngine:
 
     def sweep(self, m: int, k: int, budget: _Budget) -> list[tuple[int, int, int]]:
         """Test every size-m candidate for k-universality; exhaustive."""
-        tsplits = self.target_splits(k)
         if not self.redleaf and m == 1:
             budget.spend(1)
             return [(0, 0, 0)] if k == 1 else []
+        targets = self.target_pids(k)
         winners: list[tuple[int, int, int]] = []
-        for chunk in self._chunk_space(m):
-            found, examined = self._scan_chunk(m, tsplits, chunk)
-            winners.extend(found)
-            budget.spend(examined)
+        for i in range(m) if self.redleaf else range(1, m // 2 + 1):
+            for row, other, fixed_first, _, fixed, start in self._group(m, i, self.redleaf):
+                acc = other.ones >> start
+                for p in targets:
+                    acc &= self._block(p, row, other, fixed_first) >> start
+                    if not acc:
+                        break
+                while acc:
+                    low = acc & -acc
+                    pos = start + low.bit_length() - 1
+                    winners.append((i, fixed, pos) if fixed_first else (i, pos, fixed))
+                    acc ^= low
+            for examined in self._chunk_space(m, i):
+                budget.spend(examined)
         return winners
 
-    def _chunk_space(self, m: int, block: int = 8192) -> Iterator[tuple[int, int, int]]:
-        if self.redleaf:
-            splits = [(i, len(self.red_bits[i])) for i in range(m)]
-        else:
-            splits = [(i, len(self.white_bits[i])) for i in range(1, m // 2 + 1)]
-        for i, size in splits:
-            for lo in range(0, size, block):
-                yield (i, lo, min(lo + block, size))
-
-    def _scan_chunk(self, m, tsplits, chunk):
-        i, lo, hi = chunk
-        winners = []
-        examined = 0
-        if self.redleaf:
-            layer_a, layer_b = self.red_bits[i], self.white_bits[m - i]
-            for a in range(lo, hi):
-                ra = layer_a[a]
-                for b, wb in enumerate(layer_b):
-                    examined += 1
-                    both = ra | wb
-                    for bit, qr, qw in tsplits:
-                        if both & bit:
-                            continue
-                        if ((ra >> qr) & (wb >> qw)) & 1:
-                            continue
-                        break
-                    else:
-                        winners.append((i, a, b))
-            return winners, examined
-        layer_a, layer_b = self.white_bits[i], self.white_bits[m - i]
-        same = i == m - i
-        for a in range(lo, hi):
-            ba = layer_a[a]
-            for b in range(a if same else 0, len(layer_b)):
-                bb = layer_b[b]
-                examined += 1
-                both = ba | bb
-                for bit, p, q in tsplits:
-                    if both & bit:
-                        continue
-                    if (((ba >> p) & (bb >> q)) | ((ba >> q) & (bb >> p))) & 1:
-                        continue
-                    break
-                else:
-                    winners.append((i, a, b))
-        return winners, examined
-
-
-def _combine_white(ba: int, bb: int, splits) -> int:
-    out = ba | bb
-    for bit, i, j in splits:
-        if out & bit:
-            continue
-        if (((ba >> i) & (bb >> j)) | ((ba >> j) & (bb >> i))) & 1:
-            out |= bit
-    return out
-
-
-def _combine_red(ra: int, wb: int, wsplits, rsplits) -> int:
-    out = ra | wb
-    for bit, i, j in wsplits:
-        if out & bit:
-            continue
-        if (((ra >> i) & (wb >> j)) | ((ra >> j) & (wb >> i))) & 1:
-            out |= bit
-    for bit, qr, qw in rsplits:
-        if out & bit:
-            continue
-        if ((ra >> qr) & (wb >> qw)) & 1:
-            out |= bit
-    return out
+    def _chunk_space(self, m: int, i: int, block: int = 8192) -> Iterator[int]:
+        """Candidates per chunk of group i, ``block`` hosts of the first
+        part at a time: the sweep spends its budget in these amounts."""
+        first = self.red_layers[i] if self.redleaf else self.white_layers[i]
+        n_second = self.white_layers[m - i].size
+        same = not self.redleaf and 2 * i == m
+        for lo in range(0, first.size, block):
+            hi = min(lo + block, first.size)
+            yield (hi - lo) * n_second - ((lo + hi - 1) * (hi - lo) // 2 if same else 0)
 
 
 def _parent_code(ca: str, cb: str) -> str:

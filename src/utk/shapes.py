@@ -196,14 +196,18 @@ def graft(host: Shape, scion: Shape) -> Shape:
         raise ValueError("graft host has no red leaf")
     if host.arity != scion.arity:
         raise ValueError("mixed arity bounds in graft")
-
-    def rebuild(node: Shape) -> Shape:
-        if node.is_leaf:
-            return scion  # node is the red leaf
-        kids = tuple(rebuild(k) if k.has_red else k for k in node.children)
-        return Shape(kids, False, node.arity)
-
-    return rebuild(host)
+    # Walk down the red spine, then rebuild it bottom-up; no recursion, so
+    # the depth of the host is not bounded by Python's recursion limit.
+    spine: list[tuple[Shape, int]] = []
+    node = host
+    while not node.is_leaf:
+        j = next(j for j, kid in enumerate(node.children) if kid.has_red)
+        spine.append((node, j))
+        node = node.children[j]
+    out = scion
+    for node, j in reversed(spine):
+        out = Shape(node.children[:j] + (out,) + node.children[j + 1:], False, node.arity)
+    return out
 
 
 def caterpillar(n: int, arity: int = 2) -> Shape:

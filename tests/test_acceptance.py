@@ -201,7 +201,6 @@ def test_criterion_8_property_suites():
                 assert parse_code(shape.code) == shape
 
 
-@long_run
 def test_criterion_1_and_2_long_run():
     with criterion(1, "long run: u(11) = 21"):
         chain = find_min_universal_chain(11)

@@ -99,6 +99,18 @@ class TestBuild:
         assert data["white_leaves"] == 11
         assert data["trace"]["rule"] == "halving-graft"
 
+    def test_deep_universal_shape(self, capsys):
+        # build_universal(512) has height 1022, beyond the recursion limit.
+        code, out, err = run_cli(capsys, "build", "-n", "512")
+        assert (code, err) == (0, "")
+        assert out.count("o") == 174763
+
+    def test_too_deep_for_newick_is_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "build", "-n", "512", "--format", "newick")
+        assert (code, out) == (3, "")
+        assert err.startswith("utk: input too deep")
+        assert "Traceback" not in err
+
     def test_redleaf_kind(self, capsys):
         _, out, _ = run_cli(capsys, "build", "-n", "2", "--kind", "redleaf")
         shape = parse_code(out.strip())

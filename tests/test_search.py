@@ -125,8 +125,8 @@ class TestBinarySearch:
 
 class TestEngineBitsets:
     def test_white_bits_agree_with_embedding(self):
-        # Direct validation of the engine's pattern bitsets: for every host
-        # of size <= 7, bit p is set exactly when pattern p embeds.
+        # Direct validation of the engine's column layout: for every host of
+        # size <= 7, bit p of its row is set exactly when pattern p embeds.
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(4, redleaf=False)
@@ -134,10 +134,15 @@ class TestEngineBitsets:
             engine.ensure_white_layer(m)
         patterns = [s for k in range(1, 5) for s in enumerate_shapes(k)]
         for m in range(1, 8):
-            for idx, bits in enumerate(engine.white_bits[m]):
+            layer = engine.white_layers[m]
+            assert layer.size == len(list(enumerate_shapes(m)))
+            codes = set()
+            for idx, bits in enumerate(layer.rows()):
                 host = parse_code(engine.white_code(m, idx))
+                codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
                     assert bool(bits >> pid & 1) == is_induced_subtree(pattern, host)
+            assert len(codes) == layer.size
 
     def test_red_bits_agree_with_embedding(self):
         from utk.search import _BinaryEngine
@@ -149,8 +154,17 @@ class TestEngineBitsets:
             engine.ensure_white_layer(m)
         patterns = [s for k in range(1, 4) for s in enumerate_shapes(k)]
         patterns += [s for k in range(0, 4) for s in enumerate_shapes(k, redleaf=True)]
+        # Blocks of both orientations are built: a red host fixed with the
+        # white part running, and a white host fixed with the red part running.
+        orientations = {
+            fixed_first for m in range(1, 6)
+            for _, _, _, fixed_first in engine.red_layers[m].blocks
+        }
+        assert orientations == {True, False}
         for m in range(0, 6):
-            for idx, bits in enumerate(engine.red_bits[m]):
+            layer = engine.red_layers[m]
+            assert layer.size == len(list(enumerate_shapes(m, redleaf=True)))
+            for idx, bits in enumerate(layer.rows()):
                 host = parse_code(engine.red_code(m, idx))
                 for pid, pattern in enumerate(patterns):
                     assert bool(bits >> pid & 1) == is_induced_subtree(pattern, host), (
@@ -185,6 +199,17 @@ class TestRedleafSearch:
         report = find_min_universal(4, redleaf=True)
         for code in report.minimal_shapes:
             assert is_universal(parse_code(code), 4, redleaf=True)
+
+    def test_chain_to_6(self):
+        # Pinned per-level counts; every level-5 and level-6 entry passes
+        # the independent embedding route.
+        chain = find_min_universal_chain(6, redleaf=True)
+        assert [r.u_value for r in chain][4:] == [12, 17]
+        assert [r.candidates_examined for r in chain] == [1, 6, 33, 1002, 12999, 1055776]
+        for report in chain[4:]:
+            assert report.minimal_shapes
+            for code in report.minimal_shapes:
+                assert is_universal(parse_code(code), report.n, redleaf=True)
 
     def test_redleaf_dominates_white(self):
         # A redleaf-universal shape restricted to white patterns is still
@@ -283,7 +308,6 @@ class TestTwelveBound:
         assert is_universal(witness, 12)
 
 
-@long_run
 class TestLongRun:
     def test_u_values_and_catalogs_to_11(self):
         chain = find_min_universal_chain(11)
@@ -294,3 +318,13 @@ class TestLongRun:
             assert chain[n - 1].minimal_shapes == expected
         for report in chain:
             assert check_depth_conjecture(report)
+
+    @long_run
+    def test_redleaf_chain_to_7(self):
+        chain = find_min_universal_chain(7, redleaf=True)
+        report = chain[6]
+        assert report.u_value == 20
+        assert report.candidates_examined == 14_523_662
+        assert len(report.minimal_shapes) == 1
+        for code in report.minimal_shapes:
+            assert is_universal(parse_code(code), 7, redleaf=True)
