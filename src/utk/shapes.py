@@ -22,6 +22,7 @@ of the codes, which is also the order used for catalogs and CLI output.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -56,6 +57,11 @@ _CHILD_ORDER = str.maketrans({"o": "\x00", "r": "\x01", "(": "\x02", ")": "\x03"
 
 def _child_key(code: str) -> str:
     return code.translate(_CHILD_ORDER)
+
+
+# Code to Newick: a subtree ends in a leaf or ')' and starts with a leaf or '('.
+_SIBLING_BOUNDARY = re.compile(r"(?<=[or)])(?=[or(])")
+_NEWICK_LEAVES = str.maketrans("or", "xR")
 
 
 class Shape:
@@ -304,14 +310,14 @@ def parse_code(text: str, arity: int = 2) -> Shape:
 
 def to_newick(shape: Shape) -> str:
     """Newick export: white leaf ``x``, red leaf ``R``, children in canonical
-    order, trailing ``;``."""
+    order, trailing ``;``.
 
-    def render(node: Shape) -> str:
-        if node.is_leaf:
-            return "R" if node.red else "x"
-        return "(" + ",".join(render(k) for k in node.children) + ")"
-
-    return render(shape) + ";"
+    The canonical code lists the children in that same order, so the Newick
+    string is the code with a comma at each boundary between siblings (the
+    end of a subtree directly followed by the start of the next).  No tree
+    walk, so no depth limit.
+    """
+    return _SIBLING_BOUNDARY.sub(",", shape.code).translate(_NEWICK_LEAVES) + ";"
 
 
 def parse_newick(text: str, arity: int = 2) -> Shape:

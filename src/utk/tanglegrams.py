@@ -15,6 +15,19 @@ orbit, so isomorphism is again plain string equality.  The automorphism
 orbit is enumerated explicitly, which is fine at the small sizes where
 canonicalization is ever needed; never canonicalize a tanglegram whose trees
 have huge automorphism groups (e.g. large complete trees).
+
+Containment and universality scan every k-subset of matching edges, but
+they canonicalize only a few of them.  Before the scan, each tree gets a
+table of leaf-pair LCA depths.  A subset's key is the rank pattern of the
+left depths over its pairs plus the rank pattern of the right depths over
+the matched pairs, both listed in left order.  The key fixes the induced
+tanglegram: a leaf z lies under LCA(x, y) iff depth(x, z) >= depth(x, y),
+so the pattern gives the cluster of every induced vertex, hence both induced
+trees with their leaves labelled by the edges, hence the matching.  Equal
+keys therefore mean isomorphic subtanglegrams, and each distinct key is
+canonicalized once per scan.  For binary trees and k = 4 a side has at most
+21 patterns: 12 from the labelled caterpillars and 9 from the 3 labelled
+balanced trees, whose two cherries sit at equal depths or either one deeper.
 """
 
 from __future__ import annotations
@@ -205,17 +218,97 @@ def induced_subtanglegram(t: Tanglegram, left_positions: Iterable[int]) -> Tangl
     return Tanglegram(left, right, tuple(matching))
 
 
+def _lca_depths(shape: Shape) -> list[list[int]]:
+    """``depth[p][q]``: the depth of the lowest common ancestor of leaf
+    positions ``p`` and ``q`` (root depth 0; ``depth[p][p]`` is the leaf's own
+    depth).
+
+    One iterative preorder walk records the LCA depth of each pair of
+    consecutive leaves.  Popping a child other than the first at depth d
+    means the next leaf and the one before it meet at that child's parent, at
+    depth d - 1.  In leaf order, the LCA depth of ``p < q`` is the minimum of
+    those between them.
+    """
+    leaf_depth: list[int] = []
+    gaps: list[int] = []  # gaps[r]: LCA depth of leaves r and r + 1
+    opened = 0
+    stack = [(shape, 0, True)]
+    while stack:
+        node, depth, first = stack.pop()
+        if not first:
+            opened = depth - 1
+        if node.is_leaf:
+            if leaf_depth:
+                gaps.append(opened)
+            leaf_depth.append(depth)
+            continue
+        kids = node.children
+        stack.extend((kids[i], depth + 1, i == 0) for i in range(len(kids) - 1, -1, -1))
+    size = len(leaf_depth)
+    table = [[0] * size for _ in range(size)]
+    for p in range(size):
+        row = table[p]
+        low = row[p] = leaf_depth[p]
+        for q in range(p + 1, size):
+            low = min(low, gaps[q - 1])
+            row[q] = table[q][p] = low
+    return table
+
+
+def _ranks(values: list[int]) -> tuple[int, ...]:
+    """Each value replaced by its rank among the distinct values."""
+    levels = sorted(set(values))
+    return tuple(map(levels.index, values))
+
+
+def _subset_codes(t: Tanglegram, k: int) -> Iterator[str]:
+    """Canonical code of the subtanglegram induced by each ``k``-subset of
+    matching edges, subsets in lexicographic order of left positions.
+
+    A subset's key is the rank pattern of the left LCA depths over its pairs
+    plus that of the right LCA depths over the matched pairs, both in left
+    order.  Equal keys give isomorphic subtanglegrams (see the module
+    docstring), so each distinct key is canonicalized once.  The raw depths
+    of a subset's pairs are memoized in front of the key, which saves
+    ranking them again for each subset.
+    """
+    size, m = t.size, t.matching
+    left, right = _lca_depths(t.left), _lca_depths(t.right)
+    # One table over left positions: each entry packs the left LCA depth of
+    # a pair with the right LCA depth of the pair it is matched to.
+    width = t.right.height + 1
+    both = [[left[p][q] * width + right[m[p]][m[q]] for q in range(size)] for p in range(size)]
+    by_depths: dict[tuple, str] = {}
+    by_key: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
+    for head in itertools.combinations(range(size), k - 1):
+        start = head[-1] + 1 if head else 0
+        inner = tuple([both[a][b] for a, b in itertools.combinations(head, 2)])
+        # Entry j + 1 of a column is the packed depth of (head[j], q); entry
+        # 0 is q itself, which keeps the zip going when the head is empty.
+        for column in zip(range(start, size), *[both[p][start:] for p in head]):
+            depths = (inner, column[1:])
+            code = by_depths.get(depths)
+            if code is None:
+                subset = head + column[:1]
+                pairs = list(itertools.combinations(subset, 2))
+                key = (
+                    _ranks([left[a][b] for a, b in pairs]),
+                    _ranks([right[m[a]][m[b]] for a, b in pairs]),
+                )
+                code = by_key.get(key)
+                if code is None:
+                    code = by_key[key] = canonical_tanglegram(induced_subtanglegram(t, subset))
+                by_depths[depths] = code
+            yield code
+
+
 def is_induced_subtanglegram(small: Tanglegram, big: Tanglegram) -> bool:
     """True iff some subset of ``big``'s matching edges induces a tanglegram
     isomorphic to ``small``."""
-    k = small.size
-    if k > big.size:
+    if small.size > big.size:
         return False
     wanted = canonical_tanglegram(small)
-    for subset in itertools.combinations(range(big.size), k):
-        if canonical_tanglegram(induced_subtanglegram(big, subset)) == wanted:
-            return True
-    return False
+    return any(code == wanted for code in _subset_codes(big, small.size))
 
 
 def is_universal_tanglegram(t: Tanglegram, n: int) -> bool:
@@ -224,8 +317,7 @@ def is_universal_tanglegram(t: Tanglegram, n: int) -> bool:
     if t.size < n:
         return False
     needed = {canonical_tanglegram(c) for c in enumerate_tanglegrams(n, t.left.arity)}
-    for subset in itertools.combinations(range(t.size), n):
-        code = canonical_tanglegram(induced_subtanglegram(t, subset))
+    for code in _subset_codes(t, n):
         needed.discard(code)
         if not needed:
             return True

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-appear; criteria gated behind the long-run flag need ``UTK_LONG_RUN=1``.
+appear.
 """
 
 import itertools
@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import long_run
 from oracles import brute_is_induced_subtree
 from test_tanglegrams import oracle_class_count
 from utk.bounds import chung_lower, kalmar, quad_upper
@@ -212,10 +211,16 @@ def test_criterion_1_and_2_long_run():
             assert report.minimal_shapes == catalog_fixture(n)
 
 
-@long_run
 def test_criterion_6_long_run():
     with criterion(6, "long run: the size-25 tanglegram is 4-universal"):
         minimal = parse_code(MINIMAL_U_CODES[4])
         tangle = build_universal_tanglegram(4, universal=minimal)
         assert tangle.size == 25
+        assert is_universal_tanglegram(tangle, 4)
+
+
+def test_criterion_6_recursive_tanglegram():
+    with criterion(6, "the size-121 tanglegram built from U(4) is 4-universal"):
+        tangle = build_universal_tanglegram(4)
+        assert tangle.size == 121
         assert is_universal_tanglegram(tangle, 4)

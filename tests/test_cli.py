@@ -105,11 +105,11 @@ class TestBuild:
         assert (code, err) == (0, "")
         assert out.count("o") == 174763
 
-    def test_too_deep_for_newick_is_exit_3(self, capsys):
+    def test_deep_universal_shape_as_newick(self, capsys):
         code, out, err = run_cli(capsys, "build", "-n", "512", "--format", "newick")
-        assert (code, out) == (3, "")
-        assert err.startswith("utk: input too deep")
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
+        assert out.count("x") == 174763
+        assert out.strip().endswith(";")
 
     def test_redleaf_kind(self, capsys):
         _, out, _ = run_cli(capsys, "build", "-n", "2", "--kind", "redleaf")
@@ -181,6 +181,13 @@ class TestMast:
     def test_needs_two_shapes(self, capsys):
         code, _, err = run_cli(capsys, "mast", "(oo)")
         assert code == 2 and "two shapes" in err
+
+    def test_too_deep_is_exit_3(self, capsys):
+        deep = caterpillar(600).code
+        code, out, err = run_cli(capsys, "mast", deep, deep)
+        assert (code, out) == (3, "")
+        assert err.startswith("utk: input too deep")
+        assert "Traceback" not in err
 
 
 class TestBounds:

@@ -6,6 +6,8 @@ import pytest
 from utk.shapes import caterpillar, complete_tree, enumerate_shapes, join, make_leaf
 from utk.tanglegrams import (
     Tanglegram,
+    _lca_depths,
+    _subset_codes,
     canonical_tanglegram,
     count_tanglegrams,
     enumerate_tanglegrams,
@@ -87,6 +89,28 @@ def oracle_class_count(n: int) -> int:
             if not any(oracle_isomorphic(t, rep) for rep in reps):
                 reps.append(t)
     return len(reps)
+
+
+def random_tanglegram(rng, size, arity):
+    """Two random trees (every internal vertex has 2..arity children) and a
+    random matching."""
+
+    def tree():
+        parts = [make_leaf(arity=arity) for _ in range(size)]
+        while len(parts) > 1:
+            rng.shuffle(parts)
+            take = rng.randint(2, min(arity, len(parts)))
+            parts[:take] = [join(parts[:take], arity)]
+        return parts[0]
+
+    matching = list(range(size))
+    rng.shuffle(matching)
+    return Tanglegram(tree(), tree(), tuple(matching))
+
+
+def rank_pattern(values):
+    order = sorted(set(values))
+    return tuple(order.index(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +285,65 @@ class TestUniversality:
     def test_size3_classes_not_3_universal(self):
         for t in enumerate_tanglegrams(3):
             assert not is_universal_tanglegram(t, 3)
+
+
+class TestKeyedScan:
+    """The subset scan keys each subset by LCA-depth rank patterns and
+    canonicalizes one subset per key; these check it against canonicalizing
+    every subset."""
+
+    def test_lca_depths_match_oracle(self):
+        shapes = [s for n in range(1, 8) for s in enumerate_shapes(n)]
+        shapes += [s for n in range(1, 7) for s in enumerate_shapes(n, arity=3)]
+        for shape in shapes:
+            size = shape.leaf_count
+            oracle = lca_depth_matrix(shape)
+            assert _lca_depths(shape) == [
+                [oracle[p, q] for q in range(size)] for p in range(size)
+            ]
+
+    def test_keyed_codes_match_direct_canonicalization(self):
+        rng = random.Random(1357)
+        code_of_key = {}
+        for arity in (2, 3):
+            for size in range(5, 9):
+                for _ in range(3):
+                    t = random_tanglegram(rng, size, arity)
+                    left = lca_depth_matrix(t.left)
+                    right = lca_depth_matrix(t.right)
+                    for k in (3, 4):
+                        subsets = list(itertools.combinations(range(size), k))
+                        direct = [
+                            canonical_tanglegram(induced_subtanglegram(t, s)) for s in subsets
+                        ]
+                        assert list(_subset_codes(t, k)) == direct
+                        # The key alone fixes the class, across tanglegrams.
+                        for subset, code in zip(subsets, direct):
+                            pairs = list(itertools.combinations(subset, 2))
+                            key = (
+                                arity,
+                                rank_pattern([left[a, b] for a, b in pairs]),
+                                rank_pattern(
+                                    [right[t.matching[a], t.matching[b]] for a, b in pairs]
+                                ),
+                            )
+                            assert code_of_key.setdefault(key, code) == code
+
+    def test_universal_matches_brute_scan(self):
+        # (n, host size, arity): number of host classes, how many are n-universal
+        for (n, size, arity), (count, universal) in {
+            (3, 5, 2): (114, 107),
+            (3, 4, 3): (42, 0),
+        }.items():
+            classes = {canonical_tanglegram(c) for c in enumerate_tanglegrams(n, arity)}
+            hosts = list(enumerate_tanglegrams(size, arity))
+            assert len(hosts) == count
+            verdicts = []
+            for t in hosts:
+                found = {
+                    canonical_tanglegram(induced_subtanglegram(t, s))
+                    for s in itertools.combinations(range(size), n)
+                }
+                verdicts.append(found >= classes)
+                assert is_universal_tanglegram(t, n) == verdicts[-1]
+            assert sum(verdicts) == universal
