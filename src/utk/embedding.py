@@ -32,22 +32,31 @@ def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
     """Postorder node list plus the children's indices per node.
 
     A node object shared by several parents is listed once, so the dynamic
-    programs below memoize it once.
+    programs below memoize it once.  The walk keeps its own stack, so a deep
+    tree does not reach Python's recursion limit.
     """
     nodes: list[Shape] = []
     kids: list[list[int]] = []
     index: dict[int, int] = {}
-
-    def walk(node: Shape) -> int:
-        i = index.get(id(node))
-        if i is None:
-            child_indices = [walk(kid) for kid in node.children]
-            i = index[id(node)] = len(nodes)
+    # Each entry is an inner node and the iterator over its children not yet
+    # looked at; a leaf is listed as soon as it is met.
+    stack = [(shape, iter(shape.children))]
+    while stack:
+        node, unseen = stack[-1]
+        for kid in unseen:
+            if id(kid) in index:
+                continue
+            if kid.children:
+                stack.append((kid, iter(kid.children)))
+                break
+            index[id(kid)] = len(nodes)
+            nodes.append(kid)
+            kids.append([])
+        else:
+            stack.pop()
+            index[id(node)] = len(nodes)
             nodes.append(node)
-            kids.append(child_indices)
-        return i
-
-    walk(shape)
+            kids.append([index[id(kid)] for kid in node.children])
     return nodes, kids
 
 
@@ -130,28 +139,26 @@ def mast(t1: Shape, t2: Shape) -> int:
         if t.arity != 2:
             raise ValueError("mast is defined for binary shapes")
 
-    nodes1, kids1 = _postorder(t1)
-    nodes2, kids2 = _postorder(t2)
-    memo: dict[tuple[int, int], int] = {}
-
-    def m(i: int, j: int) -> int:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        a, b = nodes1[i], nodes2[j]
-        if a.is_leaf or b.is_leaf:
-            best = 1
-        else:
-            (a1, a2), (b1, b2) = kids1[i], kids2[j]
-            best = max(
-                m(i, b1), m(i, b2), m(a1, j), m(a2, j),
-                m(a1, b1) + m(a2, b2), m(a1, b2) + m(a2, b1),
+    _, kids1 = _postorder(t1)
+    _, kids2 = _postorder(t2)
+    # rows[i][j]: agreement size of node i of t1 and node j of t2, filled
+    # bottom-up over both postorders, so children come before parents.
+    inner2 = [(j, *kids) for j, kids in enumerate(kids2) if kids]
+    leaf_row = [1] * len(kids2)
+    rows: list[list[int]] = []
+    for kids in kids1:
+        if not kids:
+            rows.append(leaf_row)
+            continue
+        r1, r2 = rows[kids[0]], rows[kids[1]]
+        row = leaf_row[:]
+        for j, b1, b2 in inner2:
+            row[j] = max(
+                row[b1], row[b2], r1[j], r2[j],
+                r1[b1] + r2[b2], r1[b2] + r2[b1],
             )
-        memo[key] = best
-        return best
-
-    return m(len(nodes1) - 1, len(nodes2) - 1)
+        rows.append(row)
+    return rows[-1][-1]
 
 
 def jellyfish_mast(s1: JellyfishSpec, s2: JellyfishSpec) -> int:

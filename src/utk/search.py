@@ -17,6 +17,12 @@ the two parts, so with one part fixed, the pattern's column over all hosts
 of the other part is one to three ORs of that layer's whole columns.
 Candidate sweeps AND the target patterns' columns in the same way, deepest
 patterns (caterpillars first) first, and stop at the first empty result.
+A sweep over size m is the only reader of its top layer (white layer m - 1;
+for redleaf searches red layer m - 1 and white layer m), so the engine
+stores only the layers below it and streams the top one: block by block,
+each target's column piece is one to three ORs of blocks over stored
+layers, fed straight into the AND.  A top layer is stored only when a later
+sweep needs it below its own top.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -153,24 +159,38 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
 
 
 class _Layer:
-    """One layer of hosts, stored by column.
+    """One layer of hosts, stored by column or streamed.
 
-    ``cols[p]`` is an int over the layer's hosts: bit h is set when pattern
-    p embeds into host h.  Hosts come in blocks; a block fixes one host of
-    one part and runs over the hosts of the other part's layer, and
-    ``offsets[k]`` is the index of block k's first host.
+    Hosts come in blocks; a block fixes one host of one part and runs over
+    the hosts of the other part's layer, and ``offsets[k]`` is the index of
+    block k's first host.  ``plan[k]`` is block k as ``_BinaryEngine._group``
+    lists it.  A stored layer has ``cols``: ``cols[p]`` is an int over the
+    layer's hosts whose bit h is set when pattern p embeds into host h.  A
+    streamed layer has ``cols`` None and keeps its plan, from which a sweep
+    computes its columns block by block.
     """
 
-    __slots__ = ("size", "cols", "ones", "offsets", "blocks", "_rows")
+    __slots__ = ("size", "offsets", "blocks", "plan", "cols", "ones", "_rows")
 
-    def __init__(self, size: int, cols: list[int], offsets: list[int],
-                 blocks: list[tuple[int, int, int, bool]]):
+    def __init__(self, plan: list[tuple[int, _Layer, bool, int, int, int]]):
+        self.offsets: list[int] = []
+        # (i, fixed host, first position, fixed is the first part)
+        self.blocks: list[tuple[int, int, int, bool]] = []
+        size = 0
+        for _, other, fixed_first, i, fixed, start in plan:
+            self.offsets.append(size)
+            self.blocks.append((i, fixed, start, fixed_first))
+            size += other.size - start
         self.size = size
-        self.cols = cols
-        self.ones = (1 << size) - 1
-        self.offsets = offsets
-        self.blocks = blocks  # (i, fixed host, first position, fixed is the first part)
+        self.plan = plan
+        self.cols: list[int] | None = None
+        self.ones = 0
         self._rows: list[int] | None = None
+
+    def store(self, cols: list[int]) -> None:
+        self.cols = cols
+        self.ones = (1 << self.size) - 1
+        self.plan = []
 
     def rows(self) -> list[int]:
         """Per host, the bitset of the patterns that embed into it (cached)."""
@@ -196,9 +216,12 @@ class _Layer:
 
 
 def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
+    layer = _Layer([])
+    layer.size = 1
     cols = [0] * n_patterns
     cols[pid] = 1
-    return _Layer(1, cols, [], [])
+    layer.store(cols)
+    return layer
 
 
 def _join(pieces: list[tuple[int, int]]) -> int:
@@ -211,6 +234,16 @@ def _join(pieces: list[tuple[int, int]]) -> int:
             joined.append(pieces[-1])
         pieces = joined
     return pieces[0][0]
+
+
+def _positions(acc: int, start: int) -> list[int]:
+    """Positions of the set bits of ``acc``, counted from ``start``."""
+    found = []
+    while acc:
+        low = acc & -acc
+        found.append(start + low.bit_length() - 1)
+        acc ^= low
+    return found
 
 
 class _BinaryEngine:
@@ -229,7 +262,8 @@ class _BinaryEngine:
     A group (i, m - i) of layer m is built one host of the smaller part at
     a time.  With that host fixed (its pattern row taken from the columns)
     the block of pattern p over the other part's layer, whose columns are C,
-    follows the containment rule for a root over two parts:
+    is the OR of the columns that ``_terms`` names, by the containment rule
+    for a root over two parts:
 
     - every host contains p if the fixed part does;
     - white p = (p1, p2): ``C[p] | (C[p2] if fixed has p1) | (C[p1] if
@@ -240,8 +274,15 @@ class _BinaryEngine:
     - in a group (i, i), the block keeps only the hosts b >= a of the fixed
       host a (shifted right by a), so each unordered pair appears once.
 
-    A sweep ANDs the target patterns' blocks, deepest pattern first, and
-    stops at the first empty result; the bits left are the winners.
+    A sweep over size m ANDs the target patterns' blocks, deepest pattern
+    first, and stops at the first empty result; the bits left are the
+    winners.  Only the sweep reads its top layer (white m - 1; redleaf:
+    red m - 1 and white m), so a sweep stores the layers below it (white
+    1..m - 2; redleaf: red 0..m - 2 and white 1..m - 1) and streams the
+    top: over each block of the top layer's plan, a target's piece of
+    column is the OR of its terms, each term a block over a stored layer.
+    The top layer is stored only once a later sweep needs it below its own
+    top.
     """
 
     def __init__(self, n_cap: int, redleaf: bool):
@@ -271,77 +312,90 @@ class _BinaryEngine:
     # -- layer construction ------------------------------------------------ #
 
     def ensure_white_layer(self, m: int, budget: _Budget | None = None) -> None:
-        if m in self.white_layers:
-            return
-        for i in range(1, m // 2 + 1):
-            self.ensure_white_layer(i, budget)
-            self.ensure_white_layer(m - i, budget)
-        plan = [blk for i in range(1, m // 2 + 1) for blk in self._group(m, i, red=False)]
-        self.white_layers[m] = self._build(plan, self.n_white, budget)
+        self._store(self._layer(m, False, budget), self.n_white, budget)
 
     def ensure_red_layer(self, m: int, budget: _Budget | None = None) -> None:
-        if m in self.red_layers:
-            return
-        for i in range(m):
-            self.ensure_red_layer(i, budget)
-            self.ensure_white_layer(m - i, budget)
-        plan = [blk for i in range(m) for blk in self._group(m, i, red=True)]
-        self.red_layers[m] = self._build(plan, len(self.patterns), budget)
+        self._store(self._layer(m, True, budget), len(self.patterns), budget)
+
+    def _layer(self, m: int, red: bool, budget: _Budget | None) -> _Layer:
+        """Layer m, streamed unless it is already stored; the layers its
+        plan reads are stored first."""
+        layers = self.red_layers if red else self.white_layers
+        if m not in layers:
+            groups = range(m) if red else range(1, m // 2 + 1)
+            for i in groups:
+                if red:
+                    self.ensure_red_layer(i, budget)
+                else:
+                    self.ensure_white_layer(i, budget)
+                self.ensure_white_layer(m - i, budget)
+            layers[m] = _Layer([blk for i in groups for blk in self._group(m, i, red)])
+        return layers[m]
 
     def _group(self, m: int, i: int, red: bool) -> list[tuple[int, _Layer, bool, int, int, int]]:
         """Blocks of group (i, m - i) of layer m, one per host of the smaller
         part: (fixed row, other layer, fixed is the first part, i, fixed
-        host, first position kept)."""
+        host, first position kept).  A streamed part is never fixed; only a
+        sweep's top layer can be one, and the other part is then stored."""
         first = self.red_layers[i] if red else self.white_layers[i]
         second = self.white_layers[m - i]
-        if second.size < first.size:
+        if first.cols is None or second.size < first.size:
             return [(row, first, False, i, b, 0) for b, row in enumerate(second.rows())]
         same = not red and 2 * i == m
         return [(row, second, True, i, a, a if same else 0)
                 for a, row in enumerate(first.rows())]
 
-    def _build(self, plan, n_patterns: int, budget: _Budget | None) -> _Layer:
-        offsets: list[int] = []
-        blocks: list[tuple[int, int, int, bool]] = []
-        size = 0
-        for _, other, fixed_first, i, fixed, start in plan:
-            offsets.append(size)
-            blocks.append((i, fixed, start, fixed_first))
-            size += other.size - start
+    def _store(self, layer: _Layer, n_patterns: int, budget: _Budget | None) -> None:
+        if layer.cols is not None:
+            return
+        plan = layer.plan
         cols = []
         for p in range(n_patterns):
             if budget is not None:
                 budget.check_time()
-            cols.append(_join([
-                (self._block(p, row, other, fixed_first) >> start, other.size - start)
-                for row, other, fixed_first, _, _, start in plan
-            ]))
-        return _Layer(size, cols, offsets, blocks)
+            pieces = []
+            for row, other, fixed_first, _, _, start in plan:
+                # _block, inlined: this loop is where layers are built
+                terms = self._terms(p, row, fixed_first)
+                if terms is None:
+                    blk = other.ones
+                else:
+                    blk = 0
+                    for q in terms:
+                        blk = blk | other.cols[q] if blk else other.cols[q]
+                pieces.append((blk >> start, other.size - start))
+            cols.append(_join(pieces))
+        layer.store(cols)
+
+    def _terms(self, p: int, row: int, fixed_first: bool) -> tuple[int, ...] | None:
+        """The patterns whose columns over the other part OR to pattern p's
+        block when the fixed host has pattern row ``row``; None when the
+        fixed host has p, so every host does."""
+        if row >> p & 1:
+            return None
+        split = self.splits[p]
+        if split is None:
+            return (p,)
+        a, b = split
+        if p < self.n_white:
+            if row >> a & 1:
+                return (p, b, a) if row >> b & 1 else (p, b)
+            return (p, a) if row >> b & 1 else (p,)
+        if fixed_first:
+            return (b,) if row >> a & 1 else ()
+        return (p, a) if row >> b & 1 else (p,)
 
     def _block(self, p: int, row: int, other: _Layer, fixed_first: bool) -> int:
-        """Column over ``other`` of the hosts that contain pattern p when
-        rooted over ``other``'s host and the fixed host with pattern row
-        ``row`` (see the class docstring)."""
-        if row >> p & 1:
+        """Column over the stored layer ``other`` of the hosts that contain
+        pattern p when rooted over ``other``'s host and the fixed host with
+        pattern row ``row``."""
+        terms = self._terms(p, row, fixed_first)
+        if terms is None:
             return other.ones
-        split = self.splits[p]
         cols = other.cols
-        if p < self.n_white:
-            blk = cols[p]
-            if split is not None:
-                p1, p2 = split
-                if row >> p1 & 1:
-                    blk |= cols[p2]
-                if row >> p2 & 1:
-                    blk |= cols[p1]
-            return blk
-        if fixed_first:
-            if split is not None and row >> split[0] & 1:
-                return cols[split[1]]
-            return 0
-        blk = cols[p]
-        if split is not None and row >> split[1] & 1:
-            blk |= cols[split[0]]
+        blk = 0
+        for q in terms:
+            blk = blk | cols[q] if blk else cols[q]
         return blk
 
     # -- target tables ----------------------------------------------------- #
@@ -377,40 +431,63 @@ class _BinaryEngine:
     # -- candidate sweeps ---------------------------------------------------#
 
     def minimal_codes(self, m: int, k: int, budget: _Budget) -> list[str]:
-        """Codes of the k-universal size-m shapes, building the layers below
-        m (redleaf: red 0..m-1 and white 1..m) first."""
-        if self.redleaf:
-            for size in range(m):
-                self.ensure_red_layer(size, budget)
-            for size in range(1, m + 1):
-                self.ensure_white_layer(size, budget)
-        else:
-            for size in range(1, m):
-                self.ensure_white_layer(size, budget)
+        """Codes of the k-universal size-m shapes."""
         return [self.pair_code(m, pair) for pair in self.sweep(m, k, budget)]
 
     def sweep(self, m: int, k: int, budget: _Budget) -> list[tuple[int, int, int]]:
-        """Test every size-m candidate for k-universality; exhaustive."""
+        """Test every size-m candidate for k-universality; exhaustive.  The
+        layers below the top are stored first; the top layer is streamed
+        unless it is already stored."""
         if not self.redleaf and m == 1:
             budget.spend(1)
             return [(0, 0, 0)] if k == 1 else []
+        if self.redleaf:
+            self._layer(m - 1, True, budget)
+            self._layer(m, False, budget)
+        else:
+            self._layer(m - 1, False, budget)
         targets = self.target_pids(k)
         winners: list[tuple[int, int, int]] = []
         for i in range(m) if self.redleaf else range(1, m // 2 + 1):
             for row, other, fixed_first, _, fixed, start in self._group(m, i, self.redleaf):
-                acc = other.ones >> start
-                for p in targets:
-                    acc &= self._block(p, row, other, fixed_first) >> start
-                    if not acc:
-                        break
-                while acc:
-                    low = acc & -acc
-                    pos = start + low.bit_length() - 1
-                    winners.append((i, fixed, pos) if fixed_first else (i, pos, fixed))
-                    acc ^= low
+                if other.cols is None:  # the top layer; never in a group (i, i)
+                    hits = self._streamed_hits(targets, row, other, fixed_first, budget)
+                else:
+                    acc = other.ones >> start
+                    for p in targets:
+                        acc &= self._block(p, row, other, fixed_first) >> start
+                        if not acc:
+                            break
+                    hits = _positions(acc, start)
+                winners += [(i, fixed, pos) if fixed_first else (i, pos, fixed)
+                            for pos in hits]
             for examined in self._chunk_space(m, i):
                 budget.spend(examined)
         return winners
+
+    def _streamed_hits(self, targets: list[int], row: int, top: _Layer,
+                       fixed_first: bool, budget: _Budget) -> list[int]:
+        """Hosts of the streamed layer ``top`` that, rooted with the fixed
+        host of pattern row ``row``, contain every target: per block of the
+        top layer's plan, a target's piece is the OR of its terms' blocks
+        over a stored layer, ANDed deepest target first."""
+        terms = [t for t in (self._terms(p, row, fixed_first) for p in targets)
+                 if t is not None]
+        if () in terms:
+            return []
+        hits: list[int] = []
+        for offset, (row2, other, fixed_first2, _, _, start) in zip(top.offsets, top.plan):
+            budget.check_time()
+            acc = other.ones >> start
+            for qs in terms:
+                piece = self._block(qs[0], row2, other, fixed_first2)
+                for q in qs[1:]:
+                    piece |= self._block(q, row2, other, fixed_first2)
+                acc &= piece >> start
+                if not acc:
+                    break
+            hits += _positions(acc, offset)
+        return hits
 
     def _chunk_space(self, m: int, i: int, block: int = 8192) -> Iterator[int]:
         """Candidates per chunk of group i, ``block`` hosts of the first

@@ -358,9 +358,12 @@ def parse_newick(text: str, arity: int = 2) -> Shape:
 def to_dot(shape: Shape, name: str = "shape") -> str:
     """GraphViz export: leaves as circles (red leaf filled red), root as box."""
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    # Preorder, first child first, with an explicit stack of (node, parent id)
+    # so a deep shape does not reach Python's recursion limit.
     counter = itertools.count()
-
-    def emit(node: Shape, parent: str | None) -> None:
+    stack: list[tuple[Shape, str | None]] = [(shape, None)]
+    while stack:
+        node, parent = stack.pop()
         node_id = f"v{next(counter)}"
         if node.is_leaf:
             fill = ', style=filled, fillcolor=red' if node.red else ""
@@ -371,10 +374,7 @@ def to_dot(shape: Shape, name: str = "shape") -> str:
             lines.append(f'  {node_id} [shape=point];')
         if parent is not None:
             lines.append(f"  {parent} -> {node_id};")
-        for kid in node.children:
-            emit(kid, node_id)
-
-    emit(shape, None)
+        stack.extend((kid, node_id) for kid in reversed(node.children))
     lines.append("}")
     return "\n".join(lines)
 

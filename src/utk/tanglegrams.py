@@ -355,10 +355,13 @@ def tanglegram_dot(t: Tanglegram, name: str = "tanglegram") -> str:
     leaf_ids: dict[tuple[str, int], str] = {}
 
     def emit(shape: Shape, tag: str) -> None:
+        # Preorder, first child first, with an explicit stack of (node,
+        # parent id) so a deep tree does not reach Python's recursion limit.
         counter = itertools.count()
         leaf_counter = itertools.count()
-
-        def walk(node: Shape, parent: str | None) -> None:
+        stack: list[tuple[Shape, str | None]] = [(shape, None)]
+        while stack:
+            node, parent = stack.pop()
             node_id = f"{tag}{next(counter)}"
             if node.is_leaf:
                 leaf_ids[(tag, next(leaf_counter))] = node_id
@@ -369,10 +372,7 @@ def tanglegram_dot(t: Tanglegram, name: str = "tanglegram") -> str:
                 lines.append(f'  {node_id} [shape=point];')
             if parent is not None:
                 lines.append(f"  {parent} -- {node_id};")
-            for kid in node.children:
-                walk(kid, node_id)
-
-        walk(shape, None)
+            stack.extend((kid, node_id) for kid in reversed(node.children))
 
     emit(t.left, "L")
     emit(t.right, "R")

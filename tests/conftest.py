@@ -2,11 +2,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-import pytest
-
-LONG_RUN = os.environ.get("UTK_LONG_RUN", "0") not in ("", "0")
-
-long_run = pytest.mark.skipif(
-    not LONG_RUN, reason="long-running check; set UTK_LONG_RUN=1 to enable"
-)

@@ -75,6 +75,13 @@ class TestCheck:
         assert "NOT universal" in out
         assert err == ""
 
+    def test_too_deep_is_exit_3(self, capsys):
+        # The containment check still recurses once per host level.
+        code, out, err = run_cli(capsys, "check", caterpillar(700).code, "-n", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("utk: input too deep")
+        assert "Traceback" not in err
+
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "((oo)", "-n", "2")
         assert code == 2
@@ -110,6 +117,13 @@ class TestBuild:
         assert (code, err) == (0, "")
         assert out.count("x") == 174763
         assert out.strip().endswith(";")
+
+    def test_deep_universal_shape_as_dot(self, capsys):
+        code, out, err = run_cli(capsys, "build", "-n", "512", "--format", "dot")
+        assert (code, err) == (0, "")
+        assert out.count("shape=circle") == 174763
+        assert out.count(" -> ") == 2 * 174763 - 2
+        assert out.strip().endswith("}")
 
     def test_redleaf_kind(self, capsys):
         _, out, _ = run_cli(capsys, "build", "-n", "2", "--kind", "redleaf")
@@ -182,12 +196,10 @@ class TestMast:
         code, _, err = run_cli(capsys, "mast", "(oo)")
         assert code == 2 and "two shapes" in err
 
-    def test_too_deep_is_exit_3(self, capsys):
+    def test_deep_caterpillars(self, capsys):
         deep = caterpillar(600).code
         code, out, err = run_cli(capsys, "mast", deep, deep)
-        assert (code, out) == (3, "")
-        assert err.startswith("utk: input too deep")
-        assert "Traceback" not in err
+        assert (code, out.strip(), err) == (0, "600", "")
 
 
 class TestBounds:

@@ -118,6 +118,11 @@ class TestMast:
             assert value >= 1
             assert (value == t1.white_leaves) == is_induced_subtree(t1, t2)
 
+    def test_deep_caterpillars(self):
+        # Height 599, beyond Python's recursion limit.
+        assert mast(caterpillar(600), caterpillar(600)) == 600
+        assert mast(caterpillar(600), complete_tree(3)) == 4
+
     def test_rejects_redleaf(self):
         red = next(enumerate_shapes(2, redleaf=True))
         with pytest.raises(ValueError):

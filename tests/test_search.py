@@ -3,7 +3,6 @@ import pathlib
 
 import pytest
 
-from conftest import long_run
 from utk.embedding import is_induced_subtree
 from utk.search import (
     SearchLimits,
@@ -172,6 +171,68 @@ class TestEngineBitsets:
                     )
 
 
+def _chain_sweeps(u_values: list[int], max_m: int) -> list[tuple[int, int]]:
+    """The (m, k) sweeps of a chain with these u-values, up to size max_m."""
+    sweeps, prev_u = [], 1
+    for k, u in enumerate(u_values, start=1):
+        sweeps += [(m, k) for m in range(max(k, prev_u), u + 1) if m <= max_m]
+        prev_u = u
+    return sweeps
+
+
+class TestStreamedTopLayer:
+    # A sweep streams its top layer unless that layer is already stored;
+    # both routes must find the same winners and spend the same budget.
+
+    @staticmethod
+    def _winners(engine, m, k):
+        from utk.search import _Budget
+
+        budget = _Budget(None)
+        codes = sorted(engine.pair_code(m, pair) for pair in engine.sweep(m, k, budget))
+        return codes, budget.examined
+
+    def test_white_sweeps_agree(self):
+        from utk.search import _BinaryEngine
+
+        sweeps = _chain_sweeps([1, 2, 3, 5, 6, 9, 10, 14, 16], 16)
+        assert {m for m, _ in sweeps} == set(range(1, 17))
+        for m, k in sweeps:
+            streamed = _BinaryEngine(9, redleaf=False)
+            stored = _BinaryEngine(9, redleaf=False)
+            stored.ensure_white_layer(max(m - 1, 1))
+            assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
+            if m >= 3:
+                assert streamed.white_layers[m - 1].cols is None
+                assert streamed.white_layers[m - 2].cols is not None
+
+    def test_redleaf_sweeps_agree(self):
+        from utk.search import _BinaryEngine
+
+        sweeps = _chain_sweeps([1, 3, 5, 9, 12], 12)
+        assert {m for m, _ in sweeps} == set(range(1, 13))
+        for m, k in sweeps:
+            streamed = _BinaryEngine(5, redleaf=True)
+            stored = _BinaryEngine(5, redleaf=True)
+            stored.ensure_red_layer(m - 1)
+            stored.ensure_white_layer(m)
+            assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
+            if m >= 2:
+                assert streamed.red_layers[m - 1].cols is None
+                assert streamed.white_layers[m].cols is None
+                assert streamed.red_layers[m - 2].cols is not None
+                assert streamed.white_layers[m - 1].cols is not None
+
+    def test_top_layer_is_not_stored(self):
+        from utk.search import _BinaryEngine, _Budget
+
+        engine = _BinaryEngine(10, redleaf=False)
+        codes = engine.minimal_codes(19, 10, _Budget(None))
+        assert tuple(sorted(codes)) == catalog_fixture("universal_catalog_n10.codes")
+        assert engine.white_layers[18].cols is None
+        assert engine.white_layers[17].cols is not None
+
+
 class TestRedleafSearch:
     def test_small_values(self):
         chain = find_min_universal_chain(4, redleaf=True)
@@ -319,7 +380,6 @@ class TestLongRun:
         for report in chain:
             assert check_depth_conjecture(report)
 
-    @long_run
     def test_redleaf_chain_to_7(self):
         chain = find_min_universal_chain(7, redleaf=True)
         report = chain[6]

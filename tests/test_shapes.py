@@ -280,6 +280,43 @@ class TestNewickAndDot:
         assert "fillcolor=red" in dot
         assert dot.count("shape=circle") == 2
 
+    def test_dot_pinned(self):
+        assert to_dot(parse_code("(o(oo))")).splitlines() == [
+            "digraph shape {",
+            "  rankdir=TB;",
+            '  v0 [shape=box, label=""];',
+            '  v1 [shape=circle, label=""];',
+            "  v0 -> v1;",
+            "  v2 [shape=point];",
+            "  v0 -> v2;",
+            '  v3 [shape=circle, label=""];',
+            "  v2 -> v3;",
+            '  v4 [shape=circle, label=""];',
+            "  v2 -> v4;",
+            "}",
+        ]
+        assert to_dot(parse_code("(o(oo)r)", arity=3), "t").splitlines() == [
+            "digraph t {",
+            "  rankdir=TB;",
+            '  v0 [shape=box, label=""];',
+            '  v1 [shape=circle, label=""];',
+            "  v0 -> v1;",
+            '  v2 [shape=circle, label="", style=filled, fillcolor=red];',
+            "  v0 -> v2;",
+            "  v3 [shape=point];",
+            "  v0 -> v3;",
+            '  v4 [shape=circle, label=""];',
+            "  v3 -> v4;",
+            '  v5 [shape=circle, label=""];',
+            "  v3 -> v5;",
+            "}",
+        ]
+
+    def test_dot_deep_shape(self):
+        dot = to_dot(caterpillar(1500))
+        assert dot.count("shape=circle") == 1500
+        assert dot.endswith("  v2996 -> v2998;\n}")
+
 
 class TestInducedAndSurgery:
     def test_induced_full_set_is_identity(self):

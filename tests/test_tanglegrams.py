@@ -136,6 +136,52 @@ class TestTanglegramModel:
         assert dot.count("style=dashed") == 2
         assert "rankdir=LR" in dot
 
+    def test_dot_pinned(self):
+        t = Tanglegram(caterpillar(4), complete_tree(2), (1, 3, 0, 2))
+        assert tanglegram_dot(t).splitlines() == [
+            "graph tanglegram {",
+            "  rankdir=LR;",
+            '  L0 [shape=box, label=""];',
+            '  L1 [shape=circle, label=""];',
+            "  L0 -- L1;",
+            "  L2 [shape=point];",
+            "  L0 -- L2;",
+            '  L3 [shape=circle, label=""];',
+            "  L2 -- L3;",
+            "  L4 [shape=point];",
+            "  L2 -- L4;",
+            '  L5 [shape=circle, label=""];',
+            "  L4 -- L5;",
+            '  L6 [shape=circle, label=""];',
+            "  L4 -- L6;",
+            '  R0 [shape=box, label=""];',
+            "  R1 [shape=point];",
+            "  R0 -- R1;",
+            '  R2 [shape=circle, label=""];',
+            "  R1 -- R2;",
+            '  R3 [shape=circle, label=""];',
+            "  R1 -- R3;",
+            "  R4 [shape=point];",
+            "  R0 -- R4;",
+            '  R5 [shape=circle, label=""];',
+            "  R4 -- R5;",
+            '  R6 [shape=circle, label=""];',
+            "  R4 -- R6;",
+            "  L1 -- R3 [style=dashed];",
+            "  L3 -- R6 [style=dashed];",
+            "  L5 -- R2 [style=dashed];",
+            "  L6 -- R5 [style=dashed];",
+            "}",
+        ]
+
+    def test_dot_deep_tanglegram(self):
+        # Height 1499 on both sides, beyond Python's recursion limit.
+        n = 1500
+        t = Tanglegram(caterpillar(n), caterpillar(n), tuple(reversed(range(n))))
+        dot = tanglegram_dot(t)
+        assert dot.count("style=dashed") == n
+        assert "  L1 -- R2998 [style=dashed];" in dot
+
 
 class TestLeafAutomorphisms:
     def test_sizes(self):
