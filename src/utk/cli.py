@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -219,8 +220,8 @@ def _report_dict(report, timing: bool) -> dict:
 def _cmd_search(args) -> int:
     for name, value in (("--max-candidates", args.max_candidates),
                         ("--max-seconds", args.max_seconds)):
-        if value is not None and value <= 0:
-            raise _CliError(f"{name} must be positive")
+        if value is not None and not 0 < value < math.inf:  # nan fails both
+            raise _CliError(f"{name} must be positive and finite")
     limits = None
     if args.max_candidates or args.max_seconds:
         limits = SearchLimits(args.max_candidates, args.max_seconds)
@@ -293,6 +294,8 @@ def _cmd_mast(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.to < 1:
+        raise _CliError("--to must be at least 1")
     rows = bound_table(args.to)
     if args.format == "json":
         _write(_dump({"rows": rows}), args.output)

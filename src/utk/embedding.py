@@ -13,6 +13,9 @@ children can be assigned injectively to distinct host children.  For hosts
 with up to 4 children the assignment is tried exhaustively; beyond that a
 maximum-bipartite-matching feasibility check is used.
 
+``embeds_all`` runs the program for many patterns against one host and
+builds the host's postorder once.
+
 ``mast`` computes the number of leaves of a maximum agreement subtree of two
 white binary shapes with the analogous two-sided dynamic program, and
 ``jellyfish_mast`` evaluates the closed form the agreement size takes on the
@@ -22,10 +25,11 @@ jellyfish family.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from utk.shapes import JellyfishSpec, Shape
 
-__all__ = ["is_induced_subtree", "mast", "jellyfish_mast"]
+__all__ = ["is_induced_subtree", "embeds_all", "mast", "jellyfish_mast"]
 
 
 def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
@@ -96,14 +100,27 @@ def is_induced_subtree(pattern: Shape, host: Shape) -> bool:
     embed into a redleaf host (its red leaf maps to the host's red leaf); a
     white pattern never uses the host's red leaf.
     """
-    if pattern.arity != host.arity:
-        raise ValueError("pattern and host have different arity bounds")
-    if pattern.has_red and not host.has_red:
-        return False
+    return embeds_all((pattern,), host)
 
-    pnodes, p_kids = _postorder(pattern)
+
+def embeds_all(patterns: Iterable[Shape], host: Shape) -> bool:
+    """True iff every pattern is an induced subtree of ``host`` (see
+    ``is_induced_subtree``), tested in the given order up to the first that
+    is not.  The host's postorder is built once for all of them."""
     hnodes, h_kids = _postorder(host)
+    for pattern in patterns:
+        if pattern.arity != host.arity:
+            raise ValueError("pattern and host have different arity bounds")
+        if pattern.has_red and not host.has_red:
+            return False
+        if not _embeds(pattern, hnodes, h_kids):
+            return False
+    return True
 
+
+def _embeds(pattern: Shape, hnodes: list[Shape], h_kids: list[list[int]]) -> bool:
+    """The containment dynamic program against a host's postorder."""
+    pnodes, p_kids = _postorder(pattern)
     memo: dict[tuple[int, int], bool] = {}
 
     def emb(pi: int, hi: int) -> bool:

@@ -13,16 +13,15 @@ size as pairs over smaller layers.  A layer is stored by column: for each
 pattern (every shape of size <= n) one integer whose bit h says whether
 the pattern embeds into the layer's host h.  A pattern embeds into a root
 over two parts when it embeds into one part or its own root split lands in
-the two parts, so with one part fixed, the pattern's column over all hosts
-of the other part is one to three ORs of that layer's whole columns.
-Candidate sweeps AND the target patterns' columns in the same way, deepest
+the two parts, so over a group of hosts (the roots over one host each of
+two given layers) its column is an OR of at most four products of whole
+columns.  Candidate sweeps AND the target patterns' group columns, deepest
 patterns (caterpillars first) first, and stop at the first empty result.
 A sweep over size m is the only reader of its top layer (white layer m - 1;
 for redleaf searches red layer m - 1 and white layer m), so the engine
-stores only the layers below it and streams the top one: block by block,
-each target's column piece is one to three ORs of blocks over stored
-layers, fed straight into the AND.  A top layer is stored only when a later
-sweep needs it below its own top.
+stores only the layers below it and streams the top one group by group
+into the AND.  A top layer is stored only when a later sweep needs it below
+its own top.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -37,9 +36,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
-from utk.embedding import is_induced_subtree
+from utk.embedding import embeds_all, is_induced_subtree
 from utk.shapes import Shape, _child_key, complete_tree, enumerate_shapes, parse_code
 
 __all__ = [
@@ -146,11 +146,12 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
     min_height = n if redleaf else n - 1
     if shape.height < min_height:
         return False
+    patterns = _ordered_patterns(n, d, redleaf)
     if not redleaf:
         h = n.bit_length() - 1
-        if h >= 1 and not is_induced_subtree(complete_tree(h, d), shape):
-            return False
-    return all(is_induced_subtree(p, shape) for p in _ordered_patterns(n, d, redleaf))
+        if h >= 1:
+            patterns.insert(0, complete_tree(h, d))
+    return embeds_all(patterns, shape)
 
 
 # --------------------------------------------------------------------------- #
@@ -158,61 +159,110 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
 # --------------------------------------------------------------------------- #
 
 
+# K(x, y) over an A x W group is one multiply when W·W <= 100000 + 12·A·W,
+# else a shift-OR per row of x: a multiply costs about A·W·W digit steps, a
+# shift-OR a fixed interpreter step plus about A·W.  Measured builds:
+# shift-ORs take 0.78, 0.90, 1.20 and 3.3 times as long as multiplies at
+# 2 x 983, 3 x 451, 3 x 207 and 11 x 98 (192 patterns), and 0.36, 0.48,
+# 1.19 and 1.83 times at 11 x 983, 46 x 983, 23 x 451 and 98 x 451 (850).
+
+
+class _Group:
+    """Group (i, m - i) of layer m: the roots over a host a of the fixed
+    part's layer (A hosts, the smaller part, always stored) and a host b of
+    the other part's layer (W hosts, maybe streamed), laid out
+    fixed-host-major as host a·W + b.  A tie (i, i) keeps b >= a."""
+
+    __slots__ = ("i", "fixed", "other", "fixed_first", "tie", "width", "size",
+                 "ones", "spreader", "row_starts", "low", "kept")
+
+    def __init__(self, i: int, fixed: _Layer, other: _Layer, fixed_first: bool, tie: bool):
+        self.i, self.fixed, self.other = i, fixed, other
+        self.fixed_first, self.tie = fixed_first, tie
+        n_fixed, width = fixed.size, other.size
+        self.width = width
+        self.size = n_fixed * (n_fixed + 1) // 2 if tie else n_fixed * width
+        self.ones = (1 << n_fixed * width) - 1
+        if tie:  # in binary text, row W - 1 - r starts at r·W; keep r + 1 bits
+            self.kept = itemgetter(*[slice(r * width, r * width + r + 1) for r in range(width)])
+        self.spreader = None
+        if width * width <= 100_000 + 12 * n_fixed * width:
+            # x * spreader spaces copies of x W - 1 apart, so bit a of copy a
+            # lands on a·W.  Copies must not overlap: at A = W the last row
+            # is placed apart.
+            copies = min(n_fixed, width - 1)
+            self.spreader = sum(1 << a * (width - 1) for a in range(copies))
+            self.row_starts = sum(1 << a * width for a in range(copies))
+            self.low = (1 << copies) - 1
+
+    def kron(self, x: int, y: int) -> int:
+        """K(x, y): y in each row a of x, the sum of y << a·W.  The rows
+        never overlap, so it is also spread(x) * y."""
+        if not x or not y:
+            return 0
+        if x == 1:
+            return y
+        if self.spreader is None:
+            width, out = self.width, 0
+            while x:
+                low = x & -x
+                out |= y << (low.bit_length() - 1) * width
+                x ^= low
+            return out
+        spread = (x & self.low) * self.spreader & self.row_starts
+        if x > self.low:
+            spread |= 1 << (self.width - 1) * self.width
+        return spread * y
+
+    def triangle(self, square: int) -> int:
+        """A tie's hosts, bits b >= a of each row a, from its square."""
+        if not square:
+            return 0
+        return int("".join(self.kept(format(square, f"0{self.width ** 2}b"))), 2)
+
+
 class _Layer:
     """One layer of hosts, stored by column or streamed.
 
-    Hosts come in blocks; a block fixes one host of one part and runs over
-    the hosts of the other part's layer, and ``offsets[k]`` is the index of
-    block k's first host.  ``plan[k]`` is block k as ``_BinaryEngine._group``
-    lists it.  A stored layer has ``cols``: ``cols[p]`` is an int over the
-    layer's hosts whose bit h is set when pattern p embeds into host h.  A
-    streamed layer has ``cols`` None and keeps its plan, from which a sweep
-    computes its columns block by block.
+    Hosts come in groups, one per split (i, m - i), and ``offsets[k]`` is
+    the index of group k's first host.  A stored layer has ``cols``:
+    ``cols[p]`` is an int over the layer's hosts whose bit h is set when
+    pattern p embeds into host h.  A streamed layer has ``cols`` None, and
+    a sweep computes its columns group by group.
     """
 
-    __slots__ = ("size", "offsets", "blocks", "plan", "cols", "ones", "_rows")
+    __slots__ = ("size", "offsets", "groups", "cols", "ones")
 
-    def __init__(self, plan: list[tuple[int, _Layer, bool, int, int, int]]):
+    def __init__(self, groups: list[_Group]):
         self.offsets: list[int] = []
-        # (i, fixed host, first position, fixed is the first part)
-        self.blocks: list[tuple[int, int, int, bool]] = []
         size = 0
-        for _, other, fixed_first, i, fixed, start in plan:
+        for group in groups:
             self.offsets.append(size)
-            self.blocks.append((i, fixed, start, fixed_first))
-            size += other.size - start
+            size += group.size
         self.size = size
-        self.plan = plan
+        self.groups = groups
         self.cols: list[int] | None = None
         self.ones = 0
-        self._rows: list[int] | None = None
 
     def store(self, cols: list[int]) -> None:
         self.cols = cols
         self.ones = (1 << self.size) - 1
-        self.plan = []
-
-    def rows(self) -> list[int]:
-        """Per host, the bitset of the patterns that embed into it (cached)."""
-        if self._rows is None:
-            rows = [0] * self.size
-            for p, col in enumerate(self.cols):
-                bit = 1 << p
-                text = format(col, "b")[::-1]
-                h = text.find("1")
-                while h >= 0:
-                    rows[h] |= bit
-                    h = text.find("1", h + 1)
-            self._rows = rows
-        return self._rows
 
     def locate(self, h: int) -> tuple[int, int, int]:
         """(i, a, b): host h is the root over host a of the first part's
         layer (size i) and host b of the second part's layer."""
         k = bisect_right(self.offsets, h) - 1
-        i, fixed, start, fixed_first = self.blocks[k]
-        pos = start + h - self.offsets[k]
-        return (i, fixed, pos) if fixed_first else (i, pos, fixed)
+        group = self.groups[k]
+        r, width = h - self.offsets[k], group.width
+        if group.tie:  # row a holds the W - a hosts b >= a
+            fixed = 0
+            while r >= width - fixed:
+                r -= width - fixed
+                fixed += 1
+            pos = fixed + r
+        else:
+            fixed, pos = divmod(r, width)
+        return (group.i, fixed, pos) if group.fixed_first else (group.i, pos, fixed)
 
 
 def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
@@ -225,15 +275,19 @@ def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
 
 
 def _join(pieces: list[tuple[int, int]]) -> int:
-    """Concatenate (bits, width) pieces, the first one lowest.  Joining in
-    pairwise rounds costs O(total width * log(number of pieces))."""
-    while len(pieces) > 1:
-        joined = [(lo | hi << width, width + hi_width)
-                  for (lo, width), (hi, hi_width) in zip(pieces[::2], pieces[1::2])]
-        if len(pieces) % 2:
-            joined.append(pieces[-1])
-        pieces = joined
-    return pieces[0][0]
+    """Concatenate (bits, width) pieces, the first one lowest.  The chain
+    starts at the end with the shorter piece, so that the long pieces at
+    the other end are copied only once or twice."""
+    col = 0
+    if pieces[0][1] < pieces[-1][1]:
+        offset = 0
+        for bits, width in pieces:
+            col |= bits << offset
+            offset += width
+    else:
+        for bits, width in reversed(pieces):
+            col = col << width | bits
+    return col
 
 
 def _positions(acc: int, start: int) -> list[int]:
@@ -259,40 +313,42 @@ class _BinaryEngine:
     as such a pair, in ``white_layers[m]`` / ``red_layers[m]`` (see
     ``_Layer``); layer 1 is ``o`` and red layer 0 is ``r``.
 
-    A group (i, m - i) of layer m is built one host of the smaller part at
-    a time.  With that host fixed (its pattern row taken from the columns)
-    the block of pattern p over the other part's layer, whose columns are C,
-    is the OR of the columns that ``_terms`` names, by the containment rule
-    for a root over two parts:
+    Each group (i, m - i) of layer m (see ``_Group``) is built whole.  With
+    F the columns of its fixed part, C those of its other part and K(x, y)
+    the square that holds y in each row a of x, pattern p's column over the
+    group's square (``_column``) follows the rule for a root over two parts:
 
-    - every host contains p if the fixed part does;
-    - white p = (p1, p2): ``C[p] | (C[p2] if fixed has p1) | (C[p1] if
-      fixed has p2)``;
-    - red p = (q_red, q_white): ``C[q_white] if fixed has q_red`` when the
-      fixed part is the red one (a white part holds no red pattern), and
-      ``C[p] | (C[q_red] if fixed has q_white)`` when it is the white one;
-    - in a group (i, i), the block keeps only the hosts b >= a of the fixed
-      host a (shifted right by a), so each unordered pair appears once.
+    - white p = (p1, p2): ``K(F[p], ones) | K(all, C[p]) | K(F[p1], C[p2])
+      | K(F[p2], C[p1])``;
+    - red p = (q_red, q_white): ``K(F[p], ones) | K(F[q_red], C[q_white])``
+      when the fixed part is the red one (a white part holds no red
+      pattern), and ``K(all, C[p]) | K(F[q_white], C[q_red])`` when it is
+      the white one;
+    - a tie (i, i) keeps the hosts b >= a of each row a, so each unordered
+      pair appears once.
 
-    A sweep over size m ANDs the target patterns' blocks, deepest pattern
-    first, and stops at the first empty result; the bits left are the
-    winners.  Only the sweep reads its top layer (white m - 1; redleaf:
-    red m - 1 and white m), so a sweep stores the layers below it (white
-    1..m - 2; redleaf: red 0..m - 2 and white 1..m - 1) and streams the
-    top: over each block of the top layer's plan, a target's piece of
-    column is the OR of its terms, each term a block over a stored layer.
-    The top layer is stored only once a later sweep needs it below its own
-    top.
+    A sweep over size m ANDs the target patterns' group columns, deepest
+    pattern first, and stops at the first empty result; the bits left are
+    the winners.  Only the sweep reads its top layer (white m - 1; redleaf:
+    red m - 1 and white m), so a sweep stores the layers below it and
+    streams the top, which it pairs only with a one-host layer (white 1 or
+    red 0).  That host's pattern row names each target's terms (``_terms``,
+    the one-host case of ``_column``), and over each group of the top layer
+    a target's piece is the OR of its terms' group columns.
     """
 
-    def __init__(self, n_cap: int, redleaf: bool):
+    def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
         self.n_cap = n_cap
         self.redleaf = redleaf
-        patterns = [s for m in range(1, n_cap + 1) for s in enumerate_shapes(m, 2)]
-        self.n_white = len(patterns)
-        if redleaf:
-            patterns += [s for m in range(n_cap + 1)
-                         for s in enumerate_shapes(m, 2, redleaf=True)]
+        # Listing the shapes is the set-up's main cost (about a minute at
+        # n_cap = 22), so a time limit is checked after each size.
+        patterns: list[Shape] = []
+        for red in (False, True) if redleaf else (False,):
+            for m in range(0 if red else 1, n_cap + 1):
+                patterns += enumerate_shapes(m, 2, red)
+                if budget is not None:
+                    budget.check_time()
+        self.n_white = sum(not s.has_red for s in patterns)
         self.patterns = patterns
         pid = {s.code: p for p, s in enumerate(patterns)}
         # Root split of each pattern by pid, the red child first; None for
@@ -329,74 +385,76 @@ class _BinaryEngine:
                 else:
                     self.ensure_white_layer(i, budget)
                 self.ensure_white_layer(m - i, budget)
-            layers[m] = _Layer([blk for i in groups for blk in self._group(m, i, red)])
+            layers[m] = _Layer([self._group(m, i, red) for i in groups])
         return layers[m]
 
-    def _group(self, m: int, i: int, red: bool) -> list[tuple[int, _Layer, bool, int, int, int]]:
-        """Blocks of group (i, m - i) of layer m, one per host of the smaller
-        part: (fixed row, other layer, fixed is the first part, i, fixed
-        host, first position kept).  A streamed part is never fixed; only a
-        sweep's top layer can be one, and the other part is then stored."""
+    def _group(self, m: int, i: int, red: bool) -> _Group:
+        """Group (i, m - i) of layer m.  The smaller part is fixed; on a size
+        tie the first part is.  A streamed part is never fixed: only a
+        sweep's top layer can be one, and the other part then has one
+        host."""
         first = self.red_layers[i] if red else self.white_layers[i]
         second = self.white_layers[m - i]
         if first.cols is None or second.size < first.size:
-            return [(row, first, False, i, b, 0) for b, row in enumerate(second.rows())]
-        same = not red and 2 * i == m
-        return [(row, second, True, i, a, a if same else 0)
-                for a, row in enumerate(first.rows())]
+            return _Group(i, second, first, False, False)
+        return _Group(i, first, second, True, not red and 2 * i == m)
 
     def _store(self, layer: _Layer, n_patterns: int, budget: _Budget | None) -> None:
         if layer.cols is not None:
             return
-        plan = layer.plan
         cols = []
         for p in range(n_patterns):
             if budget is not None:
                 budget.check_time()
             pieces = []
-            for row, other, fixed_first, _, _, start in plan:
-                # _block, inlined: this loop is where layers are built
-                terms = self._terms(p, row, fixed_first)
-                if terms is None:
-                    blk = other.ones
-                else:
-                    blk = 0
-                    for q in terms:
-                        blk = blk | other.cols[q] if blk else other.cols[q]
-                pieces.append((blk >> start, other.size - start))
+            for group in layer.groups:
+                piece = self._column(p, group)
+                pieces.append((group.triangle(piece) if group.tie else piece, group.size))
             cols.append(_join(pieces))
         layer.store(cols)
 
+    def _column(self, p: int, group: _Group) -> int:
+        """Column of pattern p over the square of ``group``, by the rule in
+        the class docstring: F holds the fixed part's columns and C the
+        other part's, both stored."""
+        fixed, cols, kron = group.fixed.cols, group.other.cols, group.kron
+        # A white part holds no red pattern: a red p lies in the red part,
+        # and so does its red child, the first of its split.
+        in_fixed = p < self.n_white or group.fixed_first
+        in_other = p < self.n_white or not group.fixed_first
+        col = 0
+        if in_fixed:
+            if fixed[p] == group.fixed.ones:
+                return group.ones
+            col = kron(fixed[p], group.other.ones)
+        if in_other:
+            col |= kron(group.fixed.ones, cols[p])
+        split = self.splits[p]
+        if split is not None:
+            a, b = split
+            if in_fixed:
+                col |= kron(fixed[a], cols[b])
+            if in_other:
+                col |= kron(fixed[b], cols[a])
+        return col
+
     def _terms(self, p: int, row: int, fixed_first: bool) -> tuple[int, ...] | None:
-        """The patterns whose columns over the other part OR to pattern p's
-        block when the fixed host has pattern row ``row``; None when the
-        fixed host has p, so every host does."""
+        """``_column`` for a fixed part of one host with pattern row ``row``:
+        the patterns whose columns over the other part OR to pattern p's
+        column; None when the fixed host has p, so every host does."""
         if row >> p & 1:
             return None
+        in_fixed = p < self.n_white or fixed_first
+        in_other = p < self.n_white or not fixed_first
+        terms = (p,) if in_other else ()
         split = self.splits[p]
-        if split is None:
-            return (p,)
-        a, b = split
-        if p < self.n_white:
-            if row >> a & 1:
-                return (p, b, a) if row >> b & 1 else (p, b)
-            return (p, a) if row >> b & 1 else (p,)
-        if fixed_first:
-            return (b,) if row >> a & 1 else ()
-        return (p, a) if row >> b & 1 else (p,)
-
-    def _block(self, p: int, row: int, other: _Layer, fixed_first: bool) -> int:
-        """Column over the stored layer ``other`` of the hosts that contain
-        pattern p when rooted over ``other``'s host and the fixed host with
-        pattern row ``row``."""
-        terms = self._terms(p, row, fixed_first)
-        if terms is None:
-            return other.ones
-        cols = other.cols
-        blk = 0
-        for q in terms:
-            blk = blk | cols[q] if blk else cols[q]
-        return blk
+        if split is not None:
+            a, b = split
+            if in_fixed and row >> a & 1:
+                terms += (b,)
+            if in_other and row >> b & 1:
+                terms += (a,)
+        return terms
 
     # -- target tables ----------------------------------------------------- #
 
@@ -449,43 +507,47 @@ class _BinaryEngine:
         targets = self.target_pids(k)
         winners: list[tuple[int, int, int]] = []
         for i in range(m) if self.redleaf else range(1, m // 2 + 1):
-            for row, other, fixed_first, _, fixed, start in self._group(m, i, self.redleaf):
-                if other.cols is None:  # the top layer; never in a group (i, i)
-                    hits = self._streamed_hits(targets, row, other, fixed_first, budget)
-                else:
-                    acc = other.ones >> start
-                    for p in targets:
-                        acc &= self._block(p, row, other, fixed_first) >> start
-                        if not acc:
-                            break
-                    hits = _positions(acc, start)
-                winners += [(i, fixed, pos) if fixed_first else (i, pos, fixed)
-                            for pos in hits]
+            group = self._group(m, i, self.redleaf)
+            if group.other.cols is None:  # the top layer, with a one-host part
+                pairs = [(0, pos) for pos in self._streamed_hits(targets, group, budget)]
+            else:
+                acc = group.ones
+                for p in targets:
+                    acc &= self._column(p, group)
+                    if not acc:
+                        break
+                pairs = [divmod(pos, group.width) for pos in _positions(acc, 0)]
+                if group.tie:
+                    pairs = [(a, b) for a, b in pairs if b >= a]
+            winners += [(i, a, b) if group.fixed_first else (i, b, a) for a, b in pairs]
             for examined in self._chunk_space(m, i):
                 budget.spend(examined)
         return winners
 
-    def _streamed_hits(self, targets: list[int], row: int, top: _Layer,
-                       fixed_first: bool, budget: _Budget) -> list[int]:
-        """Hosts of the streamed layer ``top`` that, rooted with the fixed
-        host of pattern row ``row``, contain every target: per block of the
-        top layer's plan, a target's piece is the OR of its terms' blocks
-        over a stored layer, ANDed deepest target first."""
-        terms = [t for t in (self._terms(p, row, fixed_first) for p in targets)
+    def _streamed_hits(self, targets: list[int], group: _Group, budget: _Budget) -> list[int]:
+        """Hosts of the streamed layer ``group.other`` that, rooted with the
+        fixed part's one host, contain every target: per group of the
+        streamed layer, a target's piece is the OR of its terms' columns
+        over that group, ANDed deepest target first."""
+        row = sum(1 << q for q, col in enumerate(group.fixed.cols) if col)
+        terms = [t for t in (self._terms(p, row, group.fixed_first) for p in targets)
                  if t is not None]
         if () in terms:
             return []
+        top = group.other
         hits: list[int] = []
-        for offset, (row2, other, fixed_first2, _, _, start) in zip(top.offsets, top.plan):
+        for offset, inner in zip(top.offsets, top.groups):
             budget.check_time()
-            acc = other.ones >> start
+            acc = inner.ones
             for qs in terms:
-                piece = self._block(qs[0], row2, other, fixed_first2)
-                for q in qs[1:]:
-                    piece |= self._block(q, row2, other, fixed_first2)
-                acc &= piece >> start
+                piece = 0
+                for q in qs:
+                    piece |= self._column(q, inner)
+                acc &= piece
                 if not acc:
                     break
+            if inner.tie:
+                acc = inner.triangle(acc)
             hits += _positions(acc, offset)
         return hits
 
@@ -529,57 +591,47 @@ def _embed_step(d: int, redleaf: bool) -> Callable[[int, int, _Budget], list[str
     return minimal_codes
 
 
-def _chain(n: int, d: int, redleaf: bool, limits: SearchLimits | None,
-           minimal_codes: Callable[[int, int, _Budget], list[str]]) -> list[SearchReport]:
-    """Levels k = 1..n: grow the candidate size m from max(k, u(k - 1))
-    until ``minimal_codes(m, k, budget)``, the codes of the k-universal
-    shapes of size m, is not empty."""
-    budget = _Budget(limits)
-    reports: list[SearchReport] = []
-    prev_u = 1
-    for k in range(1, n + 1):
-        level_t0 = time.monotonic()
-        level_examined = budget.examined
-        m = max(k, prev_u)
-        try:
-            while not (codes := minimal_codes(m, k, budget)):
-                m += 1
-        except ResourceLimit as limit:
-            reports.append(
-                SearchReport(
-                    n=k, d=d, redleaf=redleaf, u_value=None, minimal_shapes=(),
-                    candidates_examined=limit.examined - level_examined,
-                    wall_time=time.monotonic() - level_t0,
-                    authoritative=False, limit_reason=limit.reason,
-                )
-            )
-            return reports
-        reports.append(
-            SearchReport(
-                n=k, d=d, redleaf=redleaf, u_value=m,
-                minimal_shapes=tuple(sorted(codes)),
-                candidates_examined=budget.examined - level_examined,
-                wall_time=time.monotonic() - level_t0,
-            )
-        )
-        prev_u = m
-    return reports
-
-
 def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
                              limits: SearchLimits | None = None) -> tuple[SearchReport, ...]:
     """Reports for every level k = 1..n (the search for n needs the smaller
-    values anyway).  If a resource limit fires, the last report is partial
+    values anyway): level k grows the candidate size m from max(k, u(k - 1))
+    until some size-m shape is k-universal.  If a resource limit fires, also
+    while the pattern tables are built, the last report is partial
     (``authoritative=False``) and the chain stops there."""
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 2:
         raise ValueError("need d >= 2")
-    if d == 2:
-        step = _BinaryEngine(n, redleaf).minimal_codes
-    else:
-        step = _embed_step(d, redleaf)
-    return tuple(_chain(n, d, redleaf, limits, step))
+    budget = _Budget(limits)
+    reports: list[SearchReport] = []
+    level_t0, level_examined = time.monotonic(), 0
+    try:
+        step = _BinaryEngine(n, redleaf, budget).minimal_codes if d == 2 else _embed_step(d, redleaf)
+        prev_u = 1
+        for k in range(1, n + 1):
+            level_t0, level_examined = time.monotonic(), budget.examined
+            m = max(k, prev_u)
+            while not (codes := step(m, k, budget)):
+                m += 1
+            reports.append(
+                SearchReport(
+                    n=k, d=d, redleaf=redleaf, u_value=m,
+                    minimal_shapes=tuple(sorted(codes)),
+                    candidates_examined=budget.examined - level_examined,
+                    wall_time=time.monotonic() - level_t0,
+                )
+            )
+            prev_u = m
+    except ResourceLimit as limit:
+        reports.append(
+            SearchReport(
+                n=len(reports) + 1, d=d, redleaf=redleaf, u_value=None, minimal_shapes=(),
+                candidates_examined=limit.examined - level_examined,
+                wall_time=time.monotonic() - level_t0,
+                authoritative=False, limit_reason=limit.reason,
+            )
+        )
+    return tuple(reports)
 
 
 def find_min_universal(n: int, d: int = 2, redleaf: bool = False,

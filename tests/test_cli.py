@@ -1,11 +1,16 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from utk.cli import main
 from utk.shapes import caterpillar, parse_code
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +183,21 @@ class TestSearch:
         _, second, _ = run_cli(capsys, "search", "-n", "6", "--json")
         assert first == second
 
+    def test_non_finite_max_seconds_is_usage_error(self, capsys):
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "search", "-n", "5", "--max-seconds", value)
+            assert (code, out) == (2, "")
+            assert err.startswith("utk: --max-seconds")
+
+    def test_time_limit_fires_while_patterns_are_listed(self, capsys):
+        # Listing every shape up to 22 leaves takes about a minute; the
+        # limit must stop the search during that set-up.
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "search", "-n", "22", "--max-seconds", "0.5")
+        assert time.monotonic() - start < 20
+        assert code == 3
+        assert "PARTIAL RESULT: stopped at level 1: time limit 0.5s exceeded" in out
+
     def test_timing_flag_adds_wall_time(self, capsys):
         _, out, _ = run_cli(capsys, "search", "-n", "4", "--json", "--timing")
         assert "wall_time" in json.loads(out)
@@ -218,6 +238,12 @@ class TestBounds:
         _, out, _ = run_cli(capsys, "bounds", "--to", "3", "--json")
         assert len(json.loads(out)["rows"]) == 3
 
+    def test_to_below_one_is_usage_error(self, capsys):
+        for value in ("0", "-2"):
+            code, out, err = run_cli(capsys, "bounds", "--to", value)
+            assert (code, out) == (2, "")
+            assert err == "utk: --to must be at least 1\n"
+
 
 class TestTangleCommands:
     def test_enumerate_counts(self, capsys):
@@ -244,27 +270,28 @@ class TestTangleCommands:
         assert code == 2
 
 
+def run_module(*argv):
+    """``python -m utk.cli`` with the checkout's ``src`` first on the path,
+    so no install is needed."""
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "utk.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
 class TestEntryPoint:
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "utk.cli", "enumerate"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("enumerate")
         assert proc.returncode == 2
 
     def test_installed_module_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "utk.cli", "enumerate", "-n", "3"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("enumerate", "-n", "3")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "(o(oo))"
 
     def test_search_module_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "utk.cli", "search", "-n", "5", "--json"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("search", "-n", "5", "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["u_value"] == 6
 

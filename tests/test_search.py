@@ -122,21 +122,58 @@ class TestBinarySearch:
         assert data["authoritative"] is True
 
 
+def _rows(layer) -> list[int]:
+    """Per host of a stored layer, the bitset of the patterns that embed."""
+    rows = [0] * layer.size
+    for p, col in enumerate(layer.cols):
+        text = format(col, "b")[::-1]
+        h = text.find("1")
+        while h >= 0:
+            rows[h] |= 1 << p
+            h = text.find("1", h + 1)
+    return rows
+
+
+def _reference_rows(engine, m: int, red: bool, white_rows: dict, red_rows: dict) -> list[int]:
+    """Rows of layer m from the rows of its parts, host by host: a root over
+    a and b holds what a or b holds, and every pattern whose root split
+    lands in (a, b) either way (a red pattern's red child in the red part)."""
+    layer = (engine.red_layers if red else engine.white_layers)[m]
+    rows = []
+    for h in range(layer.size):
+        i, a, b = layer.locate(h)
+        row_a = (red_rows if red else white_rows)[i][a]
+        row_b = white_rows[m - i][b]
+        row = row_a | row_b
+        for p, split in enumerate(engine.splits):
+            if split is None:
+                continue
+            q1, q2 = split
+            lands = row_a >> q1 & 1 and row_b >> q2 & 1
+            if p < engine.n_white:
+                lands = lands or row_a >> q2 & 1 and row_b >> q1 & 1
+            if lands:
+                row |= 1 << p
+        rows.append(row)
+    return rows
+
+
 class TestEngineBitsets:
     def test_white_bits_agree_with_embedding(self):
         # Direct validation of the engine's column layout: for every host of
-        # size <= 7, bit p of its row is set exactly when pattern p embeds.
+        # size <= 10 (ties (4, 4) and (5, 5) have 2 and 3 hosts a side), bit
+        # p of its row is set exactly when pattern p embeds.
         from utk.search import _BinaryEngine
 
-        engine = _BinaryEngine(4, redleaf=False)
-        for m in range(1, 8):
+        engine = _BinaryEngine(5, redleaf=False)
+        for m in range(1, 11):
             engine.ensure_white_layer(m)
-        patterns = [s for k in range(1, 5) for s in enumerate_shapes(k)]
-        for m in range(1, 8):
+        patterns = [s for k in range(1, 6) for s in enumerate_shapes(k)]
+        for m in range(1, 11):
             layer = engine.white_layers[m]
             assert layer.size == len(list(enumerate_shapes(m)))
             codes = set()
-            for idx, bits in enumerate(layer.rows()):
+            for idx, bits in enumerate(_rows(layer)):
                 host = parse_code(engine.white_code(m, idx))
                 codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
@@ -147,28 +184,62 @@ class TestEngineBitsets:
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(3, redleaf=True)
-        for m in range(0, 6):
+        for m in range(0, 8):
             engine.ensure_red_layer(m)
-        for m in range(1, 7):
+        for m in range(1, 9):
             engine.ensure_white_layer(m)
         patterns = [s for k in range(1, 4) for s in enumerate_shapes(k)]
         patterns += [s for k in range(0, 4) for s in enumerate_shapes(k, redleaf=True)]
-        # Blocks of both orientations are built: a red host fixed with the
-        # white part running, and a white host fixed with the red part running.
+        # Groups of both orientations are built: the red part fixed with the
+        # white part running, and the white part fixed with the red running.
         orientations = {
-            fixed_first for m in range(1, 6)
-            for _, _, _, fixed_first in engine.red_layers[m].blocks
+            group.fixed_first for m in range(1, 8) for group in engine.red_layers[m].groups
         }
         assert orientations == {True, False}
-        for m in range(0, 6):
+        for m in range(0, 8):
             layer = engine.red_layers[m]
             assert layer.size == len(list(enumerate_shapes(m, redleaf=True)))
-            for idx, bits in enumerate(layer.rows()):
+            codes = set()
+            for idx, bits in enumerate(_rows(layer)):
                 host = parse_code(engine.red_code(m, idx))
+                codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
                     assert bool(bits >> pid & 1) == is_induced_subtree(pattern, host), (
                         host.code, pattern.code,
                     )
+            assert len(codes) == layer.size
+
+    def test_white_columns_match_host_reference(self):
+        # Every stored column against rows built host by host from the
+        # parts' rows.  Layers up to 16 hold every tie up to 23 hosts a side
+        # and groups with more than one fixed host on both sides of the
+        # multiply/shift switch of K.
+        from utk.search import _BinaryEngine
+
+        engine = _BinaryEngine(6, redleaf=False)
+        engine.ensure_white_layer(16)
+        groups = [g for m in range(2, 17) for g in engine.white_layers[m].groups]
+        assert max(g.fixed.size for g in groups if g.tie) == 23
+        assert {g.spreader is None for g in groups if g.fixed.size > 1} == {True, False}
+        rows = {1: _rows(engine.white_layers[1])}
+        for m in range(2, 17):
+            rows[m] = _reference_rows(engine, m, False, rows, {})
+            assert _rows(engine.white_layers[m]) == rows[m], m
+
+    def test_red_columns_match_host_reference(self):
+        from utk.search import _BinaryEngine
+
+        engine = _BinaryEngine(3, redleaf=True)
+        engine.ensure_red_layer(14)
+        groups = [g for m in range(1, 15) for g in engine.red_layers[m].groups]
+        for fixed_first in (True, False):  # the red part fixed, or the white
+            oriented = [g for g in groups if g.fixed_first == fixed_first and g.fixed.size > 1]
+            assert {g.spreader is None for g in oriented} == {True, False}
+        white = {m: _rows(engine.white_layers[m]) for m in range(1, 15)}
+        red = {0: _rows(engine.red_layers[0])}
+        for m in range(1, 15):
+            red[m] = _reference_rows(engine, m, True, white, red)
+            assert _rows(engine.red_layers[m]) == red[m], m
 
 
 def _chain_sweeps(u_values: list[int], max_m: int) -> list[tuple[int, int]]:
