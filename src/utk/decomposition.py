@@ -23,6 +23,12 @@ the original shape exactly:
   while the centroid-carrying part may stay as large as ``n``.
 - :func:`split_dary`: the same two procedures for d-ary shapes with up to
   ``d`` child parts.
+
+The builders in ``constructions.py`` follow the recursions this split
+justifies without calling it; nothing in ``utk`` imports this module.  It
+exists as the executable proof of the halving split, and only the tests
+use it, to check the bounds and the exact reassembly on the shapes they
+enumerate.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ asked.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -58,6 +59,11 @@ class SearchLimits:
 
     max_candidates: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        # A nan budget would never fire: every comparison with it is false.
+        if self.max_seconds is not None and math.isnan(self.max_seconds):
+            raise ValueError("max_seconds must not be nan")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,23 @@ the matched pairs, both listed in left order.  The key fixes the induced
 tanglegram: a leaf z lies under LCA(x, y) iff depth(x, z) >= depth(x, y),
 so the pattern gives the cluster of every induced vertex, hence both induced
 trees with their leaves labelled by the edges, hence the matching.  Equal
-keys therefore mean isomorphic subtanglegrams, and each distinct key is
-canonicalized once per scan.  For binary trees and k = 4 a side has at most
-21 patterns: 12 from the labelled caterpillars and 9 from the 3 labelled
-balanced trees, whose two cherries sit at equal depths or either one deeper.
+keys of one arity bound therefore mean isomorphic subtanglegrams, whichever
+tanglegrams they came from.  So one table per process maps each (arity,
+key) to its canonical code, and a key is canonicalized only the first time
+any scan meets it.
+
+A side's pattern is a labelled induced tree plus an order, ties allowed, of
+its internal depths, so with R(k) such patterns the table holds at most
+R(k)^2 keys per arity and k.  For binary trees R(4) = 21: 12 from the
+labelled caterpillars and 9 from the 3 labelled balanced trees, whose two
+cherries sit at equal depths or either one deeper.  R(5) = 60 + 30*5 +
+15*3 = 255: the 60 labelled caterpillars; the 30 labellings of
+((oo)(o(oo))), whose lone cherry sits above, level with, between, level
+with or below the two internal vertices of the other subtree; and the 15 of
+(o((oo)(oo))), whose two cherries sit in 3 orders.  The left pattern also
+follows the left tree's leaf order, so fewer occur on that side: 7 of the
+21 at k = 4 (the 5 ordered trees, the balanced one in its 3 depth orders),
+and the binary k = 4 table fills up at 7 * 21 = 147 keys.
 """
 
 from __future__ import annotations
@@ -198,6 +211,16 @@ def count_tanglegrams(n: int, arity: int = 2) -> int:
     return len(_tanglegram_classes(n, arity))
 
 
+@lru_cache(maxsize=None)
+def _class_codes(n: int, arity: int) -> frozenset[str]:
+    """Canonical codes of the size-``n`` classes.  Each representative
+    already holds the minimal matching of its orbit, so rendering it gives
+    its canonical code."""
+    return frozenset(
+        _render_code(c.left, c.right, c.matching) for c in enumerate_tanglegrams(n, arity)
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Induced subtanglegrams and universality
 # --------------------------------------------------------------------------- #
@@ -261,6 +284,13 @@ def _ranks(values: list[int]) -> tuple[int, ...]:
     return tuple(map(levels.index, values))
 
 
+# Canonical code of the subtanglegram each ``(arity, left ranks, right
+# ranks)`` key fixes, filled from the first subset scanned with that key.
+# A key fixes its subtanglegram whatever tanglegram it came from, so every
+# scan in the process shares the table.
+_CODE_BY_KEY: dict[tuple[int, tuple[int, ...], tuple[int, ...]], str] = {}
+
+
 def _subset_codes(t: Tanglegram, k: int) -> Iterator[str]:
     """Canonical code of the subtanglegram induced by each ``k``-subset of
     matching edges, subsets in lexicographic order of left positions.
@@ -268,18 +298,18 @@ def _subset_codes(t: Tanglegram, k: int) -> Iterator[str]:
     A subset's key is the rank pattern of the left LCA depths over its pairs
     plus that of the right LCA depths over the matched pairs, both in left
     order.  Equal keys give isomorphic subtanglegrams (see the module
-    docstring), so each distinct key is canonicalized once.  The raw depths
-    of a subset's pairs are memoized in front of the key, which saves
-    ranking them again for each subset.
+    docstring), so a key is canonicalized only the first time any scan
+    meets it (``_CODE_BY_KEY``).  The raw depths of a subset's pairs are
+    memoized per scan in front of the key, which saves ranking them again
+    for each subset; their packing depends on this tanglegram's height.
     """
-    size, m = t.size, t.matching
+    size, m, arity = t.size, t.matching, t.left.arity
     left, right = _lca_depths(t.left), _lca_depths(t.right)
     # One table over left positions: each entry packs the left LCA depth of
     # a pair with the right LCA depth of the pair it is matched to.
     width = t.right.height + 1
     both = [[left[p][q] * width + right[m[p]][m[q]] for q in range(size)] for p in range(size)]
     by_depths: dict[tuple, str] = {}
-    by_key: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
     for head in itertools.combinations(range(size), k - 1):
         start = head[-1] + 1 if head else 0
         inner = tuple([both[a][b] for a, b in itertools.combinations(head, 2)])
@@ -292,12 +322,15 @@ def _subset_codes(t: Tanglegram, k: int) -> Iterator[str]:
                 subset = head + column[:1]
                 pairs = list(itertools.combinations(subset, 2))
                 key = (
+                    arity,
                     _ranks([left[a][b] for a, b in pairs]),
                     _ranks([right[m[a]][m[b]] for a, b in pairs]),
                 )
-                code = by_key.get(key)
+                code = _CODE_BY_KEY.get(key)
                 if code is None:
-                    code = by_key[key] = canonical_tanglegram(induced_subtanglegram(t, subset))
+                    code = _CODE_BY_KEY[key] = canonical_tanglegram(
+                        induced_subtanglegram(t, subset)
+                    )
                 by_depths[depths] = code
             yield code
 
@@ -316,7 +349,7 @@ def is_universal_tanglegram(t: Tanglegram, n: int) -> bool:
     an induced subtanglegram of ``t``."""
     if t.size < n:
         return False
-    needed = {canonical_tanglegram(c) for c in enumerate_tanglegrams(n, t.left.arity)}
+    needed = set(_class_codes(n, t.left.arity))
     for code in _subset_codes(t, n):
         needed.discard(code)
         if not needed:

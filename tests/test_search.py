@@ -402,6 +402,12 @@ class TestLimits:
             assert (report.n, report.candidates_examined, report.limit_reason) == last
             assert report.u_value is None and not report.authoritative
 
+    def test_nan_time_limit_is_rejected(self):
+        # A nan budget compares false with every elapsed time, so it would
+        # never fire and the search would report an authoritative result.
+        with pytest.raises(ValueError, match="nan"):
+            SearchLimits(max_seconds=float("nan"))
+
     def test_generous_limit_is_authoritative(self):
         report = find_min_universal(5, limits=SearchLimits(max_candidates=10_000))
         assert report.authoritative

@@ -5,7 +5,9 @@ import pytest
 
 from utk.shapes import caterpillar, complete_tree, enumerate_shapes, join, make_leaf
 from utk.tanglegrams import (
+    _CODE_BY_KEY,
     Tanglegram,
+    _class_codes,
     _lca_depths,
     _subset_codes,
     canonical_tanglegram,
@@ -111,6 +113,24 @@ def random_tanglegram(rng, size, arity):
 def rank_pattern(values):
     order = sorted(set(values))
     return tuple(order.index(v) for v in values)
+
+
+def subset_key(t, subset, left, right):
+    """The scan's key of a subset, from the oracle LCA-depth matrices."""
+    pairs = list(itertools.combinations(subset, 2))
+    return (
+        t.left.arity,
+        rank_pattern([left[a, b] for a, b in pairs]),
+        rank_pattern([right[t.matching[a], t.matching[b]] for a, b in pairs]),
+    )
+
+
+@pytest.fixture
+def empty_table():
+    """The process-wide key table, cleared before and after the test."""
+    _CODE_BY_KEY.clear()
+    yield _CODE_BY_KEY
+    _CODE_BY_KEY.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +281,17 @@ class TestEnumeration:
         for t in enumerate_tanglegrams(4):
             assert sorted(t.matching) == list(range(4))
             assert t.left.white_leaves == t.right.white_leaves == 4
-            assert canonical_tanglegram(t).endswith(" ".join(map(str, t.matching)))
+        # is_universal_tanglegram renders the representatives instead of
+        # canonicalizing them: each holds its orbit's minimal matching.
+        for n, arity in [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]:
+            classes = list(enumerate_tanglegrams(n, arity))
+            codes = [canonical_tanglegram(c) for c in classes]
+            stored = [
+                f"{c.left.code}|{c.right.code}|{' '.join(map(str, c.matching))}" for c in classes
+            ]
+            assert stored == codes
+            assert _class_codes(n, arity) == set(codes)
+            assert len(set(codes)) == len(codes)
 
     def test_dary_enumeration(self):
         ternary = count_tanglegrams(3, arity=3)
@@ -365,14 +395,7 @@ class TestKeyedScan:
                         assert list(_subset_codes(t, k)) == direct
                         # The key alone fixes the class, across tanglegrams.
                         for subset, code in zip(subsets, direct):
-                            pairs = list(itertools.combinations(subset, 2))
-                            key = (
-                                arity,
-                                rank_pattern([left[a, b] for a, b in pairs]),
-                                rank_pattern(
-                                    [right[t.matching[a], t.matching[b]] for a, b in pairs]
-                                ),
-                            )
+                            key = subset_key(t, subset, left, right)
                             assert code_of_key.setdefault(key, code) == code
 
     def test_universal_matches_brute_scan(self):
@@ -393,3 +416,59 @@ class TestKeyedScan:
                 verdicts.append(found >= classes)
                 assert is_universal_tanglegram(t, n) == verdicts[-1]
             assert sum(verdicts) == universal
+
+    def test_table_entries_hold_across_tanglegrams(self, empty_table):
+        # Fill the table from one set of tanglegrams, then check every entry
+        # against a subset with the same key from another set.
+        fill, probe = random.Random(2468), random.Random(8642)
+        for arity in (2, 3):
+            for size in range(5, 9):
+                for _ in range(3):
+                    t = random_tanglegram(fill, size, arity)
+                    for k in (3, 4):
+                        list(_subset_codes(t, k))
+        filled = dict(empty_table)
+        assert {key[0] for key in filled} == {2, 3}
+        unchecked = set(filled)
+        for _ in range(40):
+            for arity, size in itertools.product((2, 3), range(5, 10)):
+                t = random_tanglegram(probe, size, arity)
+                left, right = lca_depth_matrix(t.left), lca_depth_matrix(t.right)
+                for k in (3, 4):
+                    for subset in itertools.combinations(range(size), k):
+                        key = subset_key(t, subset, left, right)
+                        if key in unchecked:
+                            code = canonical_tanglegram(induced_subtanglegram(t, subset))
+                            assert filled[key] == code
+                            unchecked.discard(key)
+            if not unchecked:
+                break
+        assert not unchecked
+        assert empty_table == filled  # probing reads nothing into the table
+
+    def test_universal_same_with_table_cleared_and_filled(self, empty_table):
+        hosts = list(enumerate_tanglegrams(5))
+        cleared = []
+        for t in hosts:
+            empty_table.clear()
+            cleared.append(is_universal_tanglegram(t, 3))
+        for t in hosts:
+            list(_subset_codes(t, 3))
+        filled = [is_universal_tanglegram(t, 3) for t in hosts]
+        assert filled == cleared
+        assert (len(hosts), sum(cleared)) == (114, 107)
+
+    def test_binary_k4_table_is_bounded(self, empty_table):
+        # A side has at most R(4) = 21 rank patterns; the left one also
+        # follows the left tree's leaf order, which leaves 7 of them: the 5
+        # ordered trees, the balanced one with its 3 orders of cherry depths.
+        rng = random.Random(4)
+        for size in range(4, 13):
+            for _ in range(20):
+                list(_subset_codes(random_tanglegram(rng, size, 2), 4))
+        keys = [key for key in empty_table if key[0] == 2 and len(key[1]) == 6]
+        assert len(keys) == len(empty_table)
+        assert len({key[1] for key in keys}) == 7
+        assert len({key[2] for key in keys}) == 21
+        assert len(keys) == 7 * 21 <= 441
+        assert len(set(empty_table.values())) == count_tanglegrams(4)
