@@ -14,10 +14,14 @@ with up to 4 children the assignment is tried exhaustively; beyond that a
 maximum-bipartite-matching feasibility check is used.
 
 ``embeds_all`` runs the program for many patterns against one host and
-builds the host's postorder once.
+builds the host's postorder once.  The postorder view is iterative, but the
+program itself recurses once per level of the host and the pattern: a host
+about 330 levels deep or more (``caterpillar(332)``) exceeds Python's
+default recursion limit, and ``utk check`` on it ends in exit 3.
 
 ``mast`` computes the number of leaves of a maximum agreement subtree of two
-white binary shapes with the analogous two-sided dynamic program, and
+white binary shapes with the analogous two-sided dynamic program, filled
+bottom-up over both postorders without recursion, and
 ``jellyfish_mast`` evaluates the closed form the agreement size takes on the
 jellyfish family.
 """
@@ -27,41 +31,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from utk.shapes import JellyfishSpec, Shape
+from utk.shapes import JellyfishSpec, Shape, _postorder
 
 __all__ = ["is_induced_subtree", "embeds_all", "mast", "jellyfish_mast"]
-
-
-def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
-    """Postorder node list plus the children's indices per node.
-
-    A node object shared by several parents is listed once, so the dynamic
-    programs below memoize it once.  The walk keeps its own stack, so a deep
-    tree does not reach Python's recursion limit.
-    """
-    nodes: list[Shape] = []
-    kids: list[list[int]] = []
-    index: dict[int, int] = {}
-    # Each entry is an inner node and the iterator over its children not yet
-    # looked at; a leaf is listed as soon as it is met.
-    stack = [(shape, iter(shape.children))]
-    while stack:
-        node, unseen = stack[-1]
-        for kid in unseen:
-            if id(kid) in index:
-                continue
-            if kid.children:
-                stack.append((kid, iter(kid.children)))
-                break
-            index[id(kid)] = len(nodes)
-            nodes.append(kid)
-            kids.append([])
-        else:
-            stack.pop()
-            index[id(node)] = len(nodes)
-            nodes.append(node)
-            kids.append([index[id(kid)] for kid in node.children])
-    return nodes, kids
 
 
 def _injective_assignment(pattern_kids: list[int], host_kids: list[int],

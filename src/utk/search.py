@@ -25,10 +25,9 @@ its own top.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
-the same driver with an enumerate-and-embed step: every shape of the
-candidate size is generated and tested against the patterns with the
-embedding check, which is fine at the desk scales where d-ary questions are
-asked.
+the same driver with an enumerate-and-check step: every shape of the
+candidate size is generated and tested with ``is_universal``, which is fine
+at the desk scales where d-ary questions are asked.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from utk.embedding import embeds_all, is_induced_subtree
+# ``perfbench/run.py --trace 1`` wraps ``is_induced_subtree`` where this
+# module would look it up, so the name stays importable from here.
+from utk.embedding import embeds_all, is_induced_subtree  # noqa: F401
 from utk.shapes import Shape, _child_key, complete_tree, enumerate_shapes, parse_code
 
 __all__ = [
@@ -128,13 +129,6 @@ class _Budget:
 # --------------------------------------------------------------------------- #
 
 
-def _ordered_patterns(n: int, d: int, redleaf: bool) -> list[Shape]:
-    # Deepest patterns first: the caterpillar-like ones reject the most hosts.
-    return sorted(
-        enumerate_shapes(n, d, redleaf), key=lambda s: (-s.height, s.code)
-    )
-
-
 def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> bool:
     """True iff every shape with ``n`` white leaves (redleaf: every redleaf
     shape with ``n`` white leaves) embeds into ``shape``.
@@ -152,7 +146,8 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
     min_height = n if redleaf else n - 1
     if shape.height < min_height:
         return False
-    patterns = _ordered_patterns(n, d, redleaf)
+    # Deepest patterns first: the caterpillar-like ones reject the most hosts.
+    patterns = sorted(enumerate_shapes(n, d, redleaf), key=lambda s: (-s.height, s.code))
     if not redleaf:
         h = n.bit_length() - 1
         if h >= 1:
@@ -580,17 +575,13 @@ def _parent_code(ca: str, cb: str) -> str:
 
 
 def _embed_step(d: int, redleaf: bool) -> Callable[[int, int, _Budget], list[str]]:
-    """The d > 2 step: enumerate the size-m shapes and embed the patterns."""
+    """The d > 2 step: enumerate the size-m shapes and check each one."""
 
     def minimal_codes(m: int, k: int, budget: _Budget) -> list[str]:
-        patterns = _ordered_patterns(k, d, redleaf)
-        min_height = k if redleaf else k - 1
         codes: list[str] = []
         for cand in enumerate_shapes(m, d, redleaf):
             budget.spend(1)
-            if cand.height < min_height:
-                continue
-            if all(is_induced_subtree(p, cand) for p in patterns):
+            if is_universal(cand, k, d, redleaf):
                 codes.append(cand.code)
         return codes
 

@@ -17,6 +17,16 @@ subtrees, white before red).  Example: the 3-leaf caterpillar is
 
 Streams produced by :func:`enumerate_shapes` are sorted by plain ASCII order
 of the codes, which is also the order used for catalogs and CLI output.
+
+Deep trees
+----------
+No pass in this module recurses over a tree: the parsers, the leaf colors
+and induced subtrees scan the code left to right; DOT export, the postorder
+view (``_postorder``) and ``graft``/``replace_subtree`` keep their own
+stacks or paths; Newick export rewrites the code.  So a tree of any depth
+parses and prints.  The containment dynamic program in
+:mod:`utk.embedding` still recurses, so checking a host about 330 levels
+deep or more (``utk check``) ends in exit 3.
 """
 
 from __future__ import annotations
@@ -62,6 +72,9 @@ def _child_key(code: str) -> str:
 # Code to Newick: a subtree ends in a leaf or ')' and starts with a leaf or '('.
 _SIBLING_BOUNDARY = re.compile(r"(?<=[or)])(?=[or(])")
 _NEWICK_LEAVES = str.maketrans("or", "xR")
+_CODE_LEAVES = str.maketrans("xR", "or")
+_NOT_CODE = re.compile(r"[^or()]")
+_NEWICK_TEXT = re.compile(r"[xR(),]*")
 
 
 class Shape:
@@ -129,14 +142,6 @@ class Shape:
         """Total number of leaves, red included."""
         return self.white_leaves + (1 if self.has_red else 0)
 
-    def with_arity(self, arity: int) -> "Shape":
-        """Re-tag this shape with a different arity bound (must still fit)."""
-        if arity == self.arity:
-            return self
-        if self.is_leaf:
-            return Shape((), self.red, arity)
-        return Shape(tuple(k.with_arity(arity) for k in self.children), False, arity)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Shape) and self.code == other.code
 
@@ -202,18 +207,13 @@ def graft(host: Shape, scion: Shape) -> Shape:
         raise ValueError("graft host has no red leaf")
     if host.arity != scion.arity:
         raise ValueError("mixed arity bounds in graft")
-    # Walk down the red spine, then rebuild it bottom-up; no recursion, so
-    # the depth of the host is not bounded by Python's recursion limit.
-    spine: list[tuple[Shape, int]] = []
+    path = []
     node = host
     while not node.is_leaf:
         j = next(j for j, kid in enumerate(node.children) if kid.has_red)
-        spine.append((node, j))
+        path.append(j)
         node = node.children[j]
-    out = scion
-    for node, j in reversed(spine):
-        out = Shape(node.children[:j] + (out,) + node.children[j + 1:], False, node.arity)
-    return out
+    return replace_subtree(host, path, scion)
 
 
 def caterpillar(n: int, arity: int = 2) -> Shape:
@@ -256,14 +256,43 @@ def jellyfish(spec: JellyfishSpec | None = None, h: int | None = None,
 # --------------------------------------------------------------------------- #
 
 
+def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
+    """Postorder node list plus the children's indices per node: the tree
+    view that the embedding and MAST dynamic programs and
+    ``tanglegrams.leaf_automorphisms`` run over.
+
+    A node object shared by several parents is listed once, so those passes
+    handle it once.  The walk keeps its own stack, so a deep tree does not
+    reach Python's recursion limit.
+    """
+    nodes: list[Shape] = []
+    kids: list[list[int]] = []
+    index: dict[int, int] = {}
+    # Each entry is an inner node and the iterator over its children not yet
+    # looked at; a leaf is listed as soon as it is met.
+    stack = [(shape, iter(shape.children))]
+    while stack:
+        node, unseen = stack[-1]
+        for kid in unseen:
+            if id(kid) in index:
+                continue
+            if kid.children:
+                stack.append((kid, iter(kid.children)))
+                break
+            index[id(kid)] = len(nodes)
+            nodes.append(kid)
+            kids.append([])
+        else:
+            stack.pop()
+            index[id(node)] = len(nodes)
+            nodes.append(node)
+            kids.append([index[id(kid)] for kid in node.children])
+    return nodes, kids
+
+
 def leaf_colors(shape: Shape) -> list[bool]:
     """Per-leaf red flags, in canonical (code) order of the leaves."""
-    if shape.is_leaf:
-        return [shape.red]
-    out: list[bool] = []
-    for kid in shape.children:
-        out.extend(leaf_colors(kid))
-    return out
+    return [ch == "r" for ch in shape.code if ch in "or"]
 
 
 # --------------------------------------------------------------------------- #
@@ -275,37 +304,37 @@ def parse_code(text: str, arity: int = 2) -> Shape:
     """Parse a canonical-code string; children may appear in any order.
 
     Rejects malformed text, more than one red leaf, and internal vertices
-    with fewer than 2 or more than ``arity`` children.
+    with fewer than 2 or more than ``arity`` children.  One left-to-right
+    loop over a stack of open child lists, so no depth limit.
     """
     text = text.strip()
-    pos = 0
-
-    def parse_node() -> Shape:
-        nonlocal pos
-        if pos >= len(text):
-            raise ValueError("unexpected end of code")
-        ch = text[pos]
-        if ch == "o":
-            pos += 1
-            return Shape((), False, arity)
-        if ch == "r":
-            pos += 1
-            return Shape((), True, arity)
+    bad = _NOT_CODE.search(text)
+    if bad:
+        raise ValueError(f"unexpected character {bad[0]!r} at position {bad.start()}")
+    kids: list[Shape] = []  # children met so far of the innermost open vertex
+    stack: list[list[Shape]] = []  # the child lists of its open ancestors
+    for ch in text:
         if ch == "(":
-            pos += 1
+            stack.append(kids)
             kids = []
-            while pos < len(text) and text[pos] != ")":
-                kids.append(parse_node())
-            if pos >= len(text):
-                raise ValueError("unbalanced '(' in code")
-            pos += 1  # consume ')'
-            return Shape(tuple(kids), False, arity)
-        raise ValueError(f"unexpected character {ch!r} at position {pos}")
-
-    shape = parse_node()
-    if pos != len(text):
-        raise ValueError(f"trailing characters after code: {text[pos:]!r}")
-    return shape
+        elif ch == ")":
+            if not stack:
+                raise ValueError("unbalanced ')' in code")
+            if not kids:
+                raise ValueError(f"internal vertex needs 2..{arity} children, got 0")
+            node = Shape(kids, False, arity)
+            kids = stack.pop()
+            kids.append(node)
+        else:
+            kids.append(Shape((), ch == "r", arity))
+    if stack:
+        raise ValueError("unbalanced '(' in code")
+    if not kids:
+        raise ValueError("unexpected end of code")
+    if len(kids) > 1:
+        # A parsed subtree's code has as many characters as its text.
+        raise ValueError(f"trailing characters after code: {text[len(kids[0].code):]!r}")
+    return kids[0]
 
 
 def to_newick(shape: Shape) -> str:
@@ -321,62 +350,59 @@ def to_newick(shape: Shape) -> str:
 
 
 def parse_newick(text: str, arity: int = 2) -> Shape:
-    """Parse the Newick format produced by :func:`to_newick`."""
+    """Parse the Newick format produced by :func:`to_newick` (children may
+    appear in any order).
+
+    The text must hold only ``xR(),`` and have its commas exactly at the
+    sibling boundaries :func:`to_newick` writes; it is then the code with
+    the leaves renamed, and :func:`parse_code` parses that.
+    """
     text = text.strip()
     if text.endswith(";"):
         text = text[:-1]
-    pos = 0
-
-    def parse_node() -> Shape:
-        nonlocal pos
-        if pos >= len(text):
-            raise ValueError("unexpected end of newick")
-        if text[pos] == "(":
-            pos += 1
-            kids = [parse_node()]
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                kids.append(parse_node())
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError("unbalanced '(' in newick")
-            pos += 1
-            return Shape(tuple(kids), False, arity)
-        if text[pos] == "x":
-            pos += 1
-            return Shape((), False, arity)
-        if text[pos] == "R":
-            pos += 1
-            return Shape((), True, arity)
-        raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
-
-    shape = parse_node()
-    if pos != len(text):
-        raise ValueError(f"trailing characters after newick: {text[pos:]!r}")
-    return shape
+    if not _NEWICK_TEXT.fullmatch(text):
+        raise ValueError(f"newick holds characters other than 'xR(),': {text!r}")
+    renamed = text.translate(_CODE_LEAVES)
+    code = renamed.replace(",", "")
+    if _SIBLING_BOUNDARY.sub(",", code) != renamed:
+        raise ValueError(f"newick commas must separate siblings: {text!r}")
+    return parse_code(code, arity)
 
 
 def to_dot(shape: Shape, name: str = "shape") -> str:
     """GraphViz export: leaves as circles (red leaf filled red), root as box."""
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    # Preorder, first child first, with an explicit stack of (node, parent id)
-    # so a deep shape does not reach Python's recursion limit.
+    _dot_tree(shape, "v", "->", lines)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _dot_tree(shape: Shape, prefix: str, edge: str, lines: list[str]) -> list[str]:
+    """Append the DOT lines of ``shape``'s vertices ``prefix0``, ``prefix1``,
+    ... in preorder, first child first, each joined to its parent by
+    ``edge``; return the leaves' ids in leaf order.
+
+    The walk keeps an explicit stack of (node, parent id), so a deep shape
+    does not reach Python's recursion limit.
+    """
+    leaf_ids: list[str] = []
     counter = itertools.count()
     stack: list[tuple[Shape, str | None]] = [(shape, None)]
     while stack:
         node, parent = stack.pop()
-        node_id = f"v{next(counter)}"
+        node_id = f"{prefix}{next(counter)}"
         if node.is_leaf:
             fill = ', style=filled, fillcolor=red' if node.red else ""
             lines.append(f'  {node_id} [shape=circle, label=""{fill}];')
+            leaf_ids.append(node_id)
         elif parent is None:
             lines.append(f'  {node_id} [shape=box, label=""];')
         else:
             lines.append(f'  {node_id} [shape=point];')
         if parent is not None:
-            lines.append(f"  {parent} -> {node_id};")
+            lines.append(f"  {parent} {edge} {node_id};")
         stack.extend((kid, node_id) for kid in reversed(node.children))
-    lines.append("}")
-    return "\n".join(lines)
+    return leaf_ids
 
 
 # --------------------------------------------------------------------------- #
@@ -487,32 +513,34 @@ def induced_with_leafmap(shape: Shape, positions: Iterable[int]) -> tuple[Shape,
     if bad:
         raise ValueError(f"leaf positions out of range: {sorted(bad)}")
 
-    def walk(node: Shape, offset: int) -> tuple[Shape, list[int]] | None:
-        if node.is_leaf:
-            if offset in wanted:
-                return node, [offset]
-            return None
-        picked = []
-        off = offset
-        for kid in node.children:
-            sub = walk(kid, off)
-            if sub is not None:
-                picked.append(sub)
-            off += kid.leaf_count
-        if not picked:
-            return None
-        if len(picked) == 1:
-            return picked[0]  # suppress this vertex
-        # Sort children together with their leaf lists; ties broken by the
-        # original positions so the mapping stays deterministic.
-        picked.sort(key=lambda sub: (_child_key(sub[0].code), sub[1]))
-        kids = tuple(sub[0] for sub in picked)
-        leaves = [p for sub in picked for p in sub[1]]
-        return Shape(kids, False, node.arity), leaves
-
-    result = walk(shape, 0)
-    assert result is not None
-    induced, order = result
+    # Leaf positions follow the code, so one scan of it meets the leaves in
+    # order.  ``picked`` holds the induced subtrees, each with its original
+    # leaf positions in induced order, of the innermost open vertex's
+    # children scanned so far; ``stack`` holds those of its open ancestors.
+    picked: list[tuple[Shape, list[int]]] = []
+    stack: list[list[tuple[Shape, list[int]]]] = []
+    leaf = 0
+    for ch in shape.code:
+        if ch == "(":
+            stack.append(picked)
+            picked = []
+        elif ch == ")":
+            done, picked = picked, stack.pop()
+            if len(done) == 1:
+                picked.append(done[0])  # suppress this vertex
+            elif done:
+                # Sort children together with their leaf lists; ties broken
+                # by the original positions so the mapping stays
+                # deterministic.
+                done.sort(key=lambda sub: (_child_key(sub[0].code), sub[1]))
+                kids = tuple(sub[0] for sub in done)
+                merged = [p for sub in done for p in sub[1]]
+                picked.append((Shape(kids, False, shape.arity), merged))
+        else:
+            if leaf in wanted:
+                picked.append((Shape((), ch == "r", shape.arity), [leaf]))
+            leaf += 1
+    induced, order = picked[0]
     return induced, {orig: idx for idx, orig in enumerate(order)}
 
 
@@ -530,10 +558,19 @@ def subtree_at(shape: Shape, path: Sequence[int]) -> Shape:
 
 
 def replace_subtree(shape: Shape, path: Sequence[int], replacement: Shape) -> Shape:
-    """Return a copy of ``shape`` with the subtree at ``path`` replaced."""
-    if not path:
-        return replacement
-    idx = path[0]
-    kids = list(shape.children)
-    kids[idx] = replace_subtree(kids[idx], path[1:], replacement)
-    return Shape(tuple(kids), False, shape.arity)
+    """Return a copy of ``shape`` with the subtree at ``path`` replaced.
+
+    Walks the path down, then rebuilds it bottom-up; no recursion, so the
+    path's length is not bounded by Python's recursion limit.
+    """
+    spine = []
+    node = shape
+    for idx in path:
+        spine.append(node)
+        node = node.children[idx]
+    out = replacement
+    for node, idx in zip(reversed(spine), reversed(path)):
+        kids = list(node.children)
+        kids[idx] = out
+        out = Shape(kids, False, node.arity)
+    return out

@@ -52,6 +52,8 @@ from typing import Iterable, Iterator
 
 from utk.shapes import (
     Shape,
+    _dot_tree,
+    _postorder,
     enumerate_shapes,
     induced_with_leafmap,
     parse_newick,
@@ -120,40 +122,55 @@ def leaf_automorphisms(shape: Shape) -> list[tuple[int, ...]]:
     contributes its own automorphisms.  The group is returned explicitly, so
     only call this for shapes whose group is small.
     """
-    if shape.is_leaf:
-        return [(0,)]
+    nodes, kids_of = _postorder(shape)
+    # A node's group is dropped once its last parent has read it, so a deep
+    # spine holds only the groups not yet combined.
+    unread = [0] * len(nodes)
+    for kid_ids in kids_of:
+        for j in kid_ids:
+            unread[j] += 1
+    auts: list[list[tuple[int, ...]] | None] = []  # per postorder node
+    for node, kid_ids in zip(nodes, kids_of):
+        if not kid_ids:
+            auts.append([(0,)])
+            continue
+        kids = node.children
+        sizes = [k.leaf_count for k in kids]
+        offsets = [0]
+        for s in sizes[:-1]:
+            offsets.append(offsets[-1] + s)
+        kid_auts = [auts[j] for j in kid_ids]
+        for j in kid_ids:
+            unread[j] -= 1
+            if not unread[j]:
+                auts[j] = None
 
-    kids = shape.children
-    sizes = [k.leaf_count for k in kids]
-    offsets = [0]
-    for s in sizes[:-1]:
-        offsets.append(offsets[-1] + s)
-    kid_auts = [leaf_automorphisms(k) for k in kids]
+        # Groups of consecutive equal children (canonical order keeps them
+        # adjacent).
+        groups: list[list[int]] = []
+        for idx, kid in enumerate(kids):
+            if groups and kids[groups[-1][0]].code == kid.code:
+                groups[-1].append(idx)
+            else:
+                groups.append([idx])
 
-    # Groups of consecutive equal children (canonical order keeps them adjacent).
-    groups: list[list[int]] = []
-    for idx, kid in enumerate(kids):
-        if groups and kids[groups[-1][0]].code == kid.code:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-
-    group_perms = [list(itertools.permutations(g)) for g in groups]
-    out = []
-    for placement in itertools.product(*group_perms):
-        target = {}
-        for group, perm in zip(groups, placement):
-            for src, dst in zip(group, perm):
-                target[src] = dst
-        for chosen in itertools.product(*kid_auts):
-            perm = [0] * (offsets[-1] + sizes[-1])
-            for i in range(len(kids)):
-                base, dest = offsets[i], offsets[target[i]]
-                aut = chosen[i]
-                for local in range(sizes[i]):
-                    perm[base + local] = dest + aut[local]
-            out.append(tuple(perm))
-    return out
+        group_perms = [list(itertools.permutations(g)) for g in groups]
+        out = []
+        for placement in itertools.product(*group_perms):
+            target = {}
+            for group, perm in zip(groups, placement):
+                for src, dst in zip(group, perm):
+                    target[src] = dst
+            for chosen in itertools.product(*kid_auts):
+                perm = [0] * (offsets[-1] + sizes[-1])
+                for i in range(len(kids)):
+                    base, dest = offsets[i], offsets[target[i]]
+                    aut = chosen[i]
+                    for local in range(sizes[i]):
+                        perm[base + local] = dest + aut[local]
+                out.append(tuple(perm))
+        auts.append(out)
+    return auts[-1]
 
 
 def _orbit(matching: tuple[int, ...], auts_left, auts_right) -> Iterator[tuple[int, ...]]:
@@ -381,35 +398,10 @@ def parse_tanglegram(text: str, arity: int = 2) -> Tanglegram:
 
 def tanglegram_dot(t: Tanglegram, name: str = "tanglegram") -> str:
     """DOT export: the two trees face each other, matching edges dashed."""
-    lines = [
-        f"graph {name} {{",
-        "  rankdir=LR;",
-    ]
-    leaf_ids: dict[tuple[str, int], str] = {}
-
-    def emit(shape: Shape, tag: str) -> None:
-        # Preorder, first child first, with an explicit stack of (node,
-        # parent id) so a deep tree does not reach Python's recursion limit.
-        counter = itertools.count()
-        leaf_counter = itertools.count()
-        stack: list[tuple[Shape, str | None]] = [(shape, None)]
-        while stack:
-            node, parent = stack.pop()
-            node_id = f"{tag}{next(counter)}"
-            if node.is_leaf:
-                leaf_ids[(tag, next(leaf_counter))] = node_id
-                lines.append(f'  {node_id} [shape=circle, label=""];')
-            elif parent is None:
-                lines.append(f'  {node_id} [shape=box, label=""];')
-            else:
-                lines.append(f'  {node_id} [shape=point];')
-            if parent is not None:
-                lines.append(f"  {parent} -- {node_id};")
-            stack.extend((kid, node_id) for kid in reversed(node.children))
-
-    emit(t.left, "L")
-    emit(t.right, "R")
+    lines = [f"graph {name} {{", "  rankdir=LR;"]
+    left = _dot_tree(t.left, "L", "--", lines)
+    right = _dot_tree(t.right, "R", "--", lines)
     for p, q in enumerate(t.matching):
-        lines.append(f"  {leaf_ids[('L', p)]} -- {leaf_ids[('R', q)]} [style=dashed];")
+        lines.append(f"  {left[p]} -- {right[q]} [style=dashed];")
     lines.append("}")
     return "\n".join(lines)

@@ -217,9 +217,10 @@ class TestMast:
         assert code == 2 and "two shapes" in err
 
     def test_deep_caterpillars(self, capsys):
-        deep = caterpillar(600).code
-        code, out, err = run_cli(capsys, "mast", deep, deep)
-        assert (code, out.strip(), err) == (0, "600", "")
+        for size in (600, 1200):
+            deep = caterpillar(size).code
+            code, out, err = run_cli(capsys, "mast", deep, deep)
+            assert (code, out.strip(), err) == (0, str(size), "")
 
 
 class TestBounds:

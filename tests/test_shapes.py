@@ -236,7 +236,7 @@ class TestCanonicalCode:
             assert reverse(shape).code == shape.code
 
     def test_roundtrip_white(self):
-        for shape in all_shapes_upto(8):
+        for shape in all_shapes_upto(8) + [caterpillar(1500)]:
             assert parse_code(shape.code) == shape
 
     def test_roundtrip_redleaf(self):
@@ -247,7 +247,8 @@ class TestCanonicalCode:
         assert parse_code("((oo)o)") == caterpillar(3)
         assert parse_code("(o(oo))") == caterpillar(3)
 
-    @pytest.mark.parametrize("bad", ["", "x", "(o", "(o))", "(ooo)", "(o)", "((or)r)", "oo"])
+    @pytest.mark.parametrize("bad", ["", "x", "(o", "(o))", "(ooo)", "(o)", "((or)r)", "oo",
+                                     ")", "o)", "((oo)", "()", "(()o)"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_code(bad)
@@ -265,11 +266,12 @@ class TestNewickAndDot:
         assert to_newick(join([make_leaf(), make_leaf("red")])) == "(x,R);"
 
     def test_newick_roundtrip(self):
-        for shape in all_shapes_upto(7) + all_shapes_upto(5, redleaf=True):
+        for shape in all_shapes_upto(7) + all_shapes_upto(5, redleaf=True) + [caterpillar(1500)]:
             assert parse_newick(to_newick(shape)) == shape
 
     def test_newick_rejects_garbage(self):
-        for bad in ["", "(x", "(x,y);", "x,x;"]:
+        for bad in ["", "(x", "(x,y);", "x,x;", "o", "(x,,x)", "(xx)", "(,x)", "(x,x));",
+                    "( x,x)", "()"]:
             with pytest.raises(ValueError):
                 parse_newick(bad)
 
@@ -331,6 +333,7 @@ class TestInducedAndSurgery:
         cat = caterpillar(4)
         assert induced_subshape(cat, [0, 2, 3]) == caterpillar(3)
         assert induced_subshape(cat, [2, 3]) == caterpillar(2)
+        assert induced_subshape(caterpillar(1500), range(0, 1500, 3)) == caterpillar(500)
 
     def test_induced_leafmap_is_consistent(self):
         shape = join([complete_tree(2), caterpillar(3)])
@@ -353,3 +356,5 @@ class TestInducedAndSurgery:
         swapped = replace_subtree(cat, (1,), make_leaf())
         assert swapped == caterpillar(2)
         assert replace_subtree(cat, (), make_leaf()) == make_leaf()
+        assert replace_subtree(caterpillar(1201), (1,) * 1199, make_leaf()) == caterpillar(1200)
+        assert replace_subtree(parse_code("((oo)(o(oo)))"), (1, 1), make_leaf()) == complete_tree(2)

@@ -210,6 +210,7 @@ class TestLeafAutomorphisms:
         assert len(leaf_automorphisms(caterpillar(2))) == 2
         assert len(leaf_automorphisms(complete_tree(2))) == 8
         assert len(leaf_automorphisms(complete_tree(3))) == 2**7
+        assert len(leaf_automorphisms(caterpillar(1500))) == 2
 
     def test_matches_lca_oracle(self):
         for n in range(1, 7):
