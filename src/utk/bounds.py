@@ -53,10 +53,15 @@ def naive_upper(n: int) -> int:
     """Value of the recursion f(n) = f(n-1) + f(n//2), f(1) = 1."""
     if n < 1:
         raise ValueError("need n >= 1")
+    return _naive_values(n)[n]
+
+
+def _naive_values(n: int) -> list[int]:
+    """f(0..n) of ``naive_upper``'s recursion, with f(0) = 0."""
     values = [0, 1]
     for m in range(2, n + 1):
         values.append(values[m - 1] + values[m // 2])
-    return values[n]
+    return values
 
 
 def quad_upper(n: int) -> int:
@@ -143,6 +148,7 @@ def bound_table(n_max: int) -> list[dict]:
     n = 2**k, k >= 2), kalmar.
     """
     counts = _factorization_counts(max(n_max, 1))
+    naive = _naive_values(n_max)
     rows = []
     kal = 0
     for n in range(1, n_max + 1):
@@ -156,7 +162,7 @@ def bound_table(n_max: int) -> list[dict]:
                 "n": n,
                 "u_known": KNOWN_MIN_UNIVERSAL_SIZE.get(n),
                 "u_upper": KNOWN_UPPER_BOUND.get(n),
-                "naive_upper": naive_upper(n),
+                "naive_upper": naive[n],
                 "quad_upper": quad_upper(n),
                 "chung_lower": chung,
                 "kalmar": kal,

@@ -51,6 +51,7 @@ from utk.search import SearchLimits, find_min_universal, find_min_universal_chai
 from utk.shapes import (
     JellyfishSpec,
     Shape,
+    count_shapes,
     enumerate_shapes,
     parse_code,
     parse_newick,
@@ -70,6 +71,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
 
+# ``enumerate --count`` counts without listing, in about min(d, n)·n²·log n
+# big-int steps: at this n, 0.03 s for d = 2 and 1.6 s for d >= n.
+MAX_COUNT_N = 100
+
 
 class _CliError(Exception):
     pass
@@ -88,12 +93,15 @@ def _read_source(source: str) -> str:
         return sys.stdin.read()
     path = Path(source)
     try:
-        is_file = path.exists()
+        is_file = path.is_file()  # "" names the working directory
     except OSError:  # e.g. a literal too long to be a file name
         is_file = False
-    if is_file:
+    if not is_file:
+        return source
+    try:
         return path.read_text()
-    return source
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read {source}: {exc}") from exc
 
 
 def _parse_shape(text: str, arity: int) -> Shape:
@@ -116,15 +124,21 @@ def _dump(data: dict | list) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    shapes = list(enumerate_shapes(args.n, args.d, args.redleaf))
+    if args.count:
+        if args.n > MAX_COUNT_N:
+            raise _CliError(f"--count takes -n up to {MAX_COUNT_N}, got {args.n}")
+        shapes, count = [], count_shapes(args.n, args.d, args.redleaf)
+    else:
+        shapes = list(enumerate_shapes(args.n, args.d, args.redleaf))
+        count = len(shapes)
     if args.format == "json":
-        payload = {"n": args.n, "d": args.d, "redleaf": args.redleaf, "count": len(shapes)}
+        payload = {"n": args.n, "d": args.d, "redleaf": args.redleaf, "count": count}
         if not args.count:
             payload["codes"] = [s.code for s in shapes]
         _write(_dump(payload), args.output)
         return EXIT_OK
     if args.count:
-        _write(str(len(shapes)), args.output)
+        _write(str(count), args.output)
         return EXIT_OK
     if args.format == "newick":
         _write("\n".join(to_newick(s) for s in shapes), args.output)

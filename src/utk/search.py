@@ -15,8 +15,12 @@ the pattern embeds into the layer's host h.  A pattern embeds into a root
 over two parts when it embeds into one part or its own root split lands in
 the two parts, so over a group of hosts (the roots over one host each of
 two given layers) its column is an OR of at most four products of whole
-columns.  Candidate sweeps AND the target patterns' group columns, deepest
-patterns (caterpillars first) first, and stop at the first empty result.
+columns.  One kernel per group evaluates that rule for a run of patterns
+and does only the work that can be nonzero: a pattern with more leaves
+than a part skips that part's terms, and one with more leaves than the
+hosts is never visited.  Candidate sweeps AND the target patterns' group
+columns, deepest patterns (caterpillars first) first, and stop at the
+first empty result.
 A sweep over size m is the only reader of its top layer (white layer m - 1;
 for redleaf searches red layer m - 1 and white layer m), so the engine
 stores only the layers below it and streams the top one group by group
@@ -172,7 +176,9 @@ class _Group:
     """Group (i, m - i) of layer m: the roots over a host a of the fixed
     part's layer (A hosts, the smaller part, always stored) and a host b of
     the other part's layer (W hosts, maybe streamed), laid out
-    fixed-host-major as host a·W + b.  A tie (i, i) keeps b >= a."""
+    fixed-host-major as host a·W + b.  A tie (i, i) keeps b >= a, and its
+    ``size`` counts the kept hosts only.  Each part's layer knows its hosts'
+    leaf count (``_Layer.leaves``)."""
 
     __slots__ = ("i", "fixed", "other", "fixed_first", "tie", "width", "size",
                  "ones", "spreader", "row_starts", "low", "kept")
@@ -199,8 +205,6 @@ class _Group:
     def kron(self, x: int, y: int) -> int:
         """K(x, y): y in each row a of x, the sum of y << a·W.  The rows
         never overlap, so it is also spread(x) * y."""
-        if not x or not y:
-            return 0
         if x == 1:
             return y
         if self.spreader is None:
@@ -225,6 +229,7 @@ class _Group:
 class _Layer:
     """One layer of hosts, stored by column or streamed.
 
+    Every host has ``leaves`` leaves (white layer m: m; red layer m: m + 1).
     Hosts come in groups, one per split (i, m - i), and ``offsets[k]`` is
     the index of group k's first host.  A stored layer has ``cols``:
     ``cols[p]`` is an int over the layer's hosts whose bit h is set when
@@ -232,9 +237,10 @@ class _Layer:
     a sweep computes its columns group by group.
     """
 
-    __slots__ = ("size", "offsets", "groups", "cols", "ones")
+    __slots__ = ("leaves", "size", "offsets", "groups", "cols", "ones")
 
-    def __init__(self, groups: list[_Group]):
+    def __init__(self, leaves: int, groups: list[_Group]):
+        self.leaves = leaves
         self.offsets: list[int] = []
         size = 0
         for group in groups:
@@ -267,28 +273,12 @@ class _Layer:
 
 
 def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
-    layer = _Layer([])
+    layer = _Layer(1, [])
     layer.size = 1
     cols = [0] * n_patterns
     cols[pid] = 1
     layer.store(cols)
     return layer
-
-
-def _join(pieces: list[tuple[int, int]]) -> int:
-    """Concatenate (bits, width) pieces, the first one lowest.  The chain
-    starts at the end with the shorter piece, so that the long pieces at
-    the other end are copied only once or twice."""
-    col = 0
-    if pieces[0][1] < pieces[-1][1]:
-        offset = 0
-        for bits, width in pieces:
-            col |= bits << offset
-            offset += width
-    else:
-        for bits, width in reversed(pieces):
-            col = col << width | bits
-    return col
 
 
 def _positions(acc: int, start: int) -> list[int]:
@@ -317,7 +307,7 @@ class _BinaryEngine:
     Each group (i, m - i) of layer m (see ``_Group``) is built whole.  With
     F the columns of its fixed part, C those of its other part and K(x, y)
     the square that holds y in each row a of x, pattern p's column over the
-    group's square (``_column``) follows the rule for a root over two parts:
+    group's square (``_kernel``) follows the rule for a root over two parts:
 
     - white p = (p1, p2): ``K(F[p], ones) | K(all, C[p]) | K(F[p1], C[p2])
       | K(F[p2], C[p1])``;
@@ -328,14 +318,21 @@ class _BinaryEngine:
     - a tie (i, i) keeps the hosts b >= a of each row a, so each unordered
       pair appears once.
 
+    The kernel binds one group's constants and runs this rule over a list
+    of pids, as a generator.  A term is skipped when p has more leaves than
+    its part or one of its factors is 0, and p gets the group's ones when
+    F[p] or C[p] is all ones.  ``_store`` opens one kernel per group and
+    draws each live pattern's pieces from them in turn; a pattern with more
+    leaves than the hosts keeps a 0 column.
+
     A sweep over size m ANDs the target patterns' group columns, deepest
     pattern first, and stops at the first empty result; the bits left are
     the winners.  Only the sweep reads its top layer (white m - 1; redleaf:
     red m - 1 and white m), so a sweep stores the layers below it and
     streams the top, which it pairs only with a one-host layer (white 1 or
     red 0).  That host's pattern row names each target's terms (``_terms``,
-    the one-host case of ``_column``), and over each group of the top layer
-    a target's piece is the OR of its terms' group columns.
+    the one-host case of the rule), and over each group of the top layer a
+    target's piece is the OR of its terms' kernel columns.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -351,6 +348,7 @@ class _BinaryEngine:
                     budget.check_time()
         self.n_white = sum(not s.has_red for s in patterns)
         self.patterns = patterns
+        self.leaves = [s.leaf_count for s in patterns]
         pid = {s.code: p for p, s in enumerate(patterns)}
         # Root split of each pattern by pid, the red child first; None for
         # the leaves o and r.
@@ -386,7 +384,7 @@ class _BinaryEngine:
                 else:
                     self.ensure_white_layer(i, budget)
                 self.ensure_white_layer(m - i, budget)
-            layers[m] = _Layer([self._group(m, i, red) for i in groups])
+            layers[m] = _Layer(m + red, [self._group(m, i, red) for i in groups])
         return layers[m]
 
     def _group(self, m: int, i: int, red: bool) -> _Group:
@@ -401,46 +399,85 @@ class _BinaryEngine:
         return _Group(i, first, second, True, not red and 2 * i == m)
 
     def _store(self, layer: _Layer, n_patterns: int, budget: _Budget | None) -> None:
+        """Build a layer's columns from one kernel per group.  A pattern
+        with more leaves than the layer's hosts keeps a 0 column and is
+        never visited.  Each live pattern's column is chained from its
+        pieces, starting at the end with the shorter group, so the long
+        pieces at the other end are copied only once or twice; one column
+        is finished before the next begins, so the partial columns of all
+        patterns never grow side by side."""
         if layer.cols is not None:
             return
-        cols = []
-        for p in range(n_patterns):
-            if budget is not None:
-                budget.check_time()
-            pieces = []
-            for group in layer.groups:
-                piece = self._column(p, group)
-                pieces.append((group.triangle(piece) if group.tie else piece, group.size))
-            cols.append(_join(pieces))
+        timed = budget is not None and budget.limits.max_seconds is not None
+        leaves = self.leaves
+        live = [p for p in range(n_patterns) if leaves[p] <= layer.leaves]
+        groups = layer.groups
+        forward = groups[0].size < groups[-1].size
+        kernels = [(group.size, self._kernel(group, live, compact=True))
+                   for group in (groups if forward else reversed(groups))]
+        cols = [0] * n_patterns
+        for p in live:
+            col = offset = 0
+            for width, kernel in kernels:
+                if timed:
+                    budget.check_time()
+                if forward:
+                    col |= next(kernel) << offset
+                    offset += width
+                else:
+                    col = col << width | next(kernel)
+            cols[p] = col
         layer.store(cols)
 
-    def _column(self, p: int, group: _Group) -> int:
-        """Column of pattern p over the square of ``group``, by the rule in
-        the class docstring: F holds the fixed part's columns and C the
-        other part's, both stored."""
-        fixed, cols, kron = group.fixed.cols, group.other.cols, group.kron
+    def _kernel(self, group: _Group, pids: list[int], compact: bool = False) -> Iterator[int]:
+        """Columns of the patterns ``pids``, in order, over the square of
+        ``group`` by the rule in the class docstring (a tie's kept hosts
+        only when ``compact``).  F holds the fixed part's columns and C the
+        other part's, both stored.  A term is skipped when its pattern has
+        more leaves than its part or one of its factors is 0, and a pattern
+        that some whole part holds gets the group's ones."""
+        fixed, other = group.fixed, group.other
+        F, C, kron = fixed.cols, other.cols, group.kron
+        f_ones, c_ones, f_leaves, c_leaves = fixed.ones, other.ones, fixed.leaves, other.leaves
+        leaves, splits, n_white = self.leaves, self.splits, self.n_white
         # A white part holds no red pattern: a red p lies in the red part,
         # and so does its red child, the first of its split.
-        in_fixed = p < self.n_white or group.fixed_first
-        in_other = p < self.n_white or not group.fixed_first
-        col = 0
-        if in_fixed:
-            if fixed[p] == group.fixed.ones:
-                return group.ones
-            col = kron(fixed[p], group.other.ones)
-        if in_other:
-            col |= kron(group.fixed.ones, cols[p])
-        split = self.splits[p]
-        if split is not None:
-            a, b = split
-            if in_fixed:
-                col |= kron(fixed[a], cols[b])
-            if in_other:
-                col |= kron(fixed[b], cols[a])
-        return col
+        red_fixed = group.fixed_first
+        triangle = group.triangle if compact and group.tie else None
+        ones = (1 << group.size) - 1 if triangle else group.ones
+        for p in pids:
+            n = leaves[p]
+            white = p < n_white
+            in_fixed = white or red_fixed
+            in_other = white or not red_fixed
+            x = F[p] if in_fixed and n <= f_leaves else 0
+            y = C[p] if in_other and n <= c_leaves else 0
+            if x == f_ones or y == c_ones:
+                yield ones
+                continue
+            col = kron(x, c_ones) if x else 0
+            if y:
+                col |= kron(f_ones, y)
+            split = splits[p]
+            if split is not None:
+                a, b = split
+                if in_fixed:
+                    x, y = F[a], C[b]
+                    if x and y:
+                        col |= kron(x, y)
+                if in_other:
+                    x, y = F[b], C[a]
+                    if x and y:
+                        col |= kron(x, y)
+            if triangle:
+                col = triangle(col)
+            # Hand the piece over without a reference left in this frame
+            # while it waits: held pieces cost about 0.4 MB of max RSS in the
+            # 850-pattern build to layer 21.
+            yield (col, col := 0)[0]
 
     def _terms(self, p: int, row: int, fixed_first: bool) -> tuple[int, ...] | None:
-        """``_column`` for a fixed part of one host with pattern row ``row``:
+        """The rule for a fixed part of one host with pattern row ``row``:
         the patterns whose columns over the other part OR to pattern p's
         column; None when the fixed host has p, so every host does."""
         if row >> p & 1:
@@ -513,8 +550,8 @@ class _BinaryEngine:
                 pairs = [(0, pos) for pos in self._streamed_hits(targets, group, budget)]
             else:
                 acc = group.ones
-                for p in targets:
-                    acc &= self._column(p, group)
+                for col in self._kernel(group, targets):
+                    acc &= col
                     if not acc:
                         break
                 pairs = [divmod(pos, group.width) for pos in _positions(acc, 0)]
@@ -535,15 +572,17 @@ class _BinaryEngine:
                  if t is not None]
         if () in terms:
             return []
+        flat = [q for qs in terms for q in qs]
         top = group.other
         hits: list[int] = []
         for offset, inner in zip(top.offsets, top.groups):
             budget.check_time()
             acc = inner.ones
+            cols = self._kernel(inner, flat)
             for qs in terms:
                 piece = 0
-                for q in qs:
-                    piece |= self._column(q, inner)
+                for _ in qs:
+                    piece |= next(cols)
                 acc &= piece
                 if not acc:
                     break

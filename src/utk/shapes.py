@@ -32,6 +32,7 @@ deep or more (``utk check``) ends in exit 3.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -486,10 +487,52 @@ def enumerate_shapes(n: int, arity: int = 2, redleaf: bool = False) -> Iterator[
 
 
 def count_shapes(n: int, arity: int = 2, redleaf: bool = False) -> int:
-    """Number of isomorphism classes with ``n`` white leaves."""
-    if redleaf:
-        return len(_redleaf_shapes(n, arity))
-    return len(_white_shapes(n, arity))
+    """Number of isomorphism classes with ``n`` white leaves (and one red
+    leaf with ``redleaf=True``), counted without listing them.
+
+    A white shape of size m >= 2 is a root over a multiset of 2..arity
+    white shapes with m leaves in all (for arity 2 this is the
+    Wedderburn-Etherington recurrence, OEIS A001190); a redleaf shape of
+    size m >= 1 is a root over one redleaf shape of size i < m and a
+    multiset of 1..arity - 1 white shapes with m - i leaves.
+    """
+    if arity < 2:
+        raise ValueError("arity must be >= 2")
+    if redleaf and n < 0:
+        raise ValueError("need n >= 0 for redleaf shapes")
+    if not redleaf and n < 1:
+        raise ValueError("need n >= 1 white leaves")
+    white, forests = _forest_counts(n, arity)
+    if not redleaf:
+        return white[n]
+    red = [1]
+    for m in range(1, n + 1):
+        red.append(sum(red[i] * sum(row[m - i] for row in forests[1:arity])
+                       for i in range(m)))
+    return red[n]
+
+
+def _forest_counts(n: int, arity: int) -> tuple[list[int], list[list[int]]]:
+    """``white[m]``, the number of white shapes of size m, and
+    ``forests[k][t]``, the number of multisets of k white shapes with t
+    leaves in all, for m, t <= n and k <= min(arity, n) (more than n
+    shapes have more than n leaves).  Sizes are folded in smallest first:
+    when size s comes up, the multisets of at least two smaller shapes with
+    s leaves are exactly the roots of size s."""
+    top = min(arity, n)
+    white = [0] * (n + 1)
+    forests = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(top)]
+    for s in range(1, n + 1):
+        white[s] = 1 if s == 1 else sum(row[s] for row in forests[2:])
+        # Add j >= 1 copies of size s, chosen with repetition from white[s]
+        # kinds; larger k first, so each row reads the rows below it unchanged.
+        choose = [math.comb(white[s] + j - 1, j) for j in range(top + 1)]
+        for k in range(top, 0, -1):
+            row = forests[k]
+            for t in range(n, s - 1, -1):
+                row[t] += sum(forests[k - j][t - j * s] * choose[j]
+                              for j in range(1, min(k, t // s) + 1))
+    return white, forests
 
 
 # --------------------------------------------------------------------------- #

@@ -159,3 +159,17 @@ class TestBoundTable:
             is_pow = n & (n - 1) == 0 and n >= 4
             assert (row["chung_lower"] is not None) == is_pow
         assert rows[3]["chung_lower"] == 5  # n = 4
+
+    def test_naive_column_matches_single_values(self):
+        # The table runs the recursion once; each row must still equal the
+        # single-n API.
+        rows = bound_table(300)
+        assert [row["naive_upper"] for row in rows] == [naive_upper(n) for n in range(1, 301)]
+
+    def test_long_table_is_linear(self, capsys):
+        # One recursion per table, not one per row: 50,000 rows take about
+        # a second (a recursion per row took minutes).
+        from utk.cli import main
+
+        assert main(["bounds", "--to", "50000", "--json"]) == 0
+        assert capsys.readouterr().out.count('"n": ') == 50000

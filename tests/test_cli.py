@@ -29,6 +29,13 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "--count")
         assert (code, out.strip()) == (0, "2")
 
+    def test_count_without_listing(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "-n", "25", "--count")
+        assert (code, out.strip()) == (0, "19680277")
+        code, out, err = run_cli(capsys, "enumerate", "-n", "101", "--count")
+        assert (code, out) == (2, "")
+        assert err == "utk: --count takes -n up to 100, got 101\n"
+
     def test_4ary_count(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-d", "4", "--count")
         assert (code, out.strip()) == (0, "5")

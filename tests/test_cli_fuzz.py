@@ -1,0 +1,60 @@
+"""Malformed and extreme command lines: every one ends in a documented exit
+code (0 ok, 1 check failed, 2 usage/parse error, 3 resource limit) with a
+message, never a traceback."""
+
+import pytest
+
+from utk.cli import main
+from utk.shapes import caterpillar, to_newick
+
+HUGE = str(10**20)
+DEEP = caterpillar(700)
+TANGLE = "(x,(x,x));|((x,x),x);|0 1 2"
+
+MALFORMED_CODES = ["", "(", ")", "((oo)", "(oo))", "()", "(()o)", "(o)", "oo", "(ox)",
+                   "abc", "((((((((", "(oo)(oo)", "(rr)", "(o r)"]
+MALFORMED_NEWICK = ["(x,,x);", "(x,x));", "((x,x),x;", ";", "(x;x);", "(,);", "x;",
+                    "((x,x),(x,x)));", "(x,R,R);", "(x x);"]
+MALFORMED_TANGLEGRAMS = ["", "|", "||", "(x,x);|(x,x);|", "(x,x);|(x,x);|0 0",
+                         "(x,x);|(x,x);|0 1 2", "(x,x);|(x,x);|a b", "(x,x);|(x,x,x);|0 1",
+                         "(x,x);|(x,x);|-1 0", "(x,x);|(x,x);|5 6", "(o;|(x,x);|0 1"]
+
+CASES = (
+    [("check", text, "-n", "3") for text in MALFORMED_CODES + MALFORMED_NEWICK]
+    + [("mast", text, "(oo)") for text in MALFORMED_CODES[:6] + MALFORMED_NEWICK[:4]]
+    + [("tangle-check", text, "-n", "2") for text in MALFORMED_TANGLEGRAMS]
+    + [argv for n in ("0", "-1", HUGE) for argv in (
+        ("enumerate", "-n", n),
+        ("enumerate", "-n", n, "--count"),
+        ("enumerate", "-n", n, "--count", "--redleaf", "--json"),
+        ("check", "((oo)(oo))", "-n", n),
+        ("check", "((or)(oo))", "-n", n, "--redleaf"),
+        ("tangle-check", TANGLE, "-n", n),
+        ("tangle-enumerate", "-n", n, "--count"),
+        ("search", "-n", n, "--max-seconds", "1"),
+    )]
+    + [(cmd, "-n", n) for cmd in ("search", "build", "tangle-enumerate") for n in ("0", "-1")]
+    # "--max-seconds=-inf": as a separate word, argparse reads "-inf" as an option.
+    + [("search", "-n", "5", f"--max-seconds={value}") for value in ("nan", "inf", "-inf", "-1", "0")]
+    + [
+        ("check", DEEP.code, "-n", "4"),
+        ("check", to_newick(DEEP), "-n", "4", "--json"),
+        ("mast", DEEP.code, DEEP.code),
+        ("tangle-check", f"{to_newick(DEEP)}|{to_newick(DEEP)}|{' '.join(map(str, range(700)))}",
+         "-n", "1"),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv)[:60])
+def test_every_input_ends_in_a_documented_exit(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 1:  # a verdict, not an error
+        assert "NOT universal" in out
+    elif code == 3 and argv[0] == "search":  # a partial report
+        assert "PARTIAL RESULT" in out
+    elif code:
+        assert err.startswith("utk: "), err

@@ -242,6 +242,84 @@ class TestEngineBitsets:
             assert _rows(engine.red_layers[m]) == red[m], m
 
 
+class TestGroupKernel:
+    # Patterns larger than the hosts: the kernel skips the terms and the
+    # patterns that cannot embed, and the columns must not change.
+
+    @staticmethod
+    def _dead_columns_are_zero(engine, layers):
+        for layer in layers:
+            for p, col in enumerate(layer.cols):
+                if engine.leaves[p] > layer.leaves:
+                    assert col == 0, (layer.leaves, p)
+
+    def test_white_columns_with_larger_patterns(self):
+        from utk.search import _BinaryEngine
+
+        engine = _BinaryEngine(10, redleaf=False)
+        engine.ensure_white_layer(12)
+        rows = {1: _rows(engine.white_layers[1])}
+        for m in range(2, 13):
+            rows[m] = _reference_rows(engine, m, False, rows, {})
+            assert _rows(engine.white_layers[m]) == rows[m], m
+        self._dead_columns_are_zero(engine, [engine.white_layers[m] for m in range(1, 13)])
+
+    def test_red_columns_with_larger_patterns(self):
+        from utk.search import _BinaryEngine
+
+        engine = _BinaryEngine(6, redleaf=True)
+        engine.ensure_red_layer(10)
+        white = {m: _rows(engine.white_layers[m]) for m in range(1, 11)}
+        red = {0: _rows(engine.red_layers[0])}
+        for m in range(1, 11):
+            red[m] = _reference_rows(engine, m, True, white, red)
+            assert _rows(engine.red_layers[m]) == red[m], m
+        self._dead_columns_are_zero(
+            engine, [engine.red_layers[m] for m in range(0, 11)]
+            + [engine.white_layers[m] for m in range(1, 11)],
+        )
+
+    def test_store_visits_live_patterns_only(self, monkeypatch):
+        # A layer's build passes the kernel exactly the patterns with no more
+        # leaves than its hosts, which have as many leaves as its two parts.
+        from utk.search import _BinaryEngine
+
+        engine = _BinaryEngine(8, redleaf=True)
+        calls = []
+        kernel = _BinaryEngine._kernel
+
+        def recording(self, group, pids, compact=False):
+            if compact:
+                calls.append((group.fixed.leaves + group.other.leaves, list(pids)))
+            return kernel(self, group, pids, compact)
+
+        monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
+        engine.ensure_red_layer(9)
+        assert len(calls) > 20
+        for hosts, pids in calls:
+            n_patterns = len(engine.patterns) if pids[-1] >= engine.n_white else engine.n_white
+            assert pids == [p for p in range(n_patterns) if engine.leaves[p] <= hosts]
+        assert {hosts for hosts, _ in calls} >= set(range(2, 11))
+
+    def test_all_ones_part_short_circuits(self, monkeypatch):
+        # In group (1, 5) the fixed part is the leaf o, which lacks the
+        # cherry (oo), and every host of size 5 has it: the kernel must answer
+        # with the group's ones and make no product.
+        from utk.search import _BinaryEngine, _Group
+
+        engine = _BinaryEngine(4, redleaf=False)
+        engine.ensure_white_layer(5)
+        group = engine._group(6, 1, False)
+        cherry = [s.code for s in engine.patterns].index("(oo)")
+        assert group.fixed.cols[cherry] == 0
+        assert group.other.cols[cherry] == group.other.ones
+        products = []
+        kron = _Group.kron
+        monkeypatch.setattr(_Group, "kron", lambda g, x, y: products.append(1) or kron(g, x, y))
+        assert list(engine._kernel(group, [cherry])) == [group.ones]
+        assert products == []
+
+
 def _chain_sweeps(u_values: list[int], max_m: int) -> list[tuple[int, int]]:
     """The (m, k) sweeps of a chain with these u-values, up to size max_m."""
     sweeps, prev_u = [], 1

@@ -159,6 +159,29 @@ class TestEnumeration:
         for n in range(1, 15):
             assert count_shapes(n) == wedderburn(n)
 
+    def test_counts_beyond_listing(self):
+        # Counted without listing: W(30) (OEIS A001190), 2..3 children, and
+        # one red leaf over 2 children.
+        assert count_shapes(30) == 1406818759
+        assert [count_shapes(n, 3) for n in range(1, 9)] == [1, 1, 2, 4, 9, 23, 58, 156]
+        assert [count_shapes(n, redleaf=True) for n in range(0, 9)] == [
+            1, 1, 2, 4, 9, 20, 46, 106, 248,
+        ]
+
+    def test_counts_match_enumeration(self):
+        for arity in (2, 3, 4, 5):
+            for redleaf in (False, True):
+                for n in range(0 if redleaf else 1, 9 if arity == 2 else 7):
+                    listed = sum(1 for _ in enumerate_shapes(n, arity, redleaf))
+                    assert count_shapes(n, arity, redleaf) == listed, (n, arity, redleaf)
+
+    def test_count_domain_matches_enumeration(self):
+        for args in ((0,), (-1,), (-1, 2, True), (3, 1)):
+            with pytest.raises(ValueError):
+                list(enumerate_shapes(*args))
+            with pytest.raises(ValueError):
+                count_shapes(*args)
+
     def test_4ary_count_of_size_four(self):
         assert count_shapes(4, arity=4) == 5
 
