@@ -153,34 +153,40 @@ def embed_composition(composition: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _build(n: int, d: int, redleaf: bool, parts: PartSource | None,
-           memo: dict) -> Shape:
+           memo: dict) -> tuple[Shape, dict]:
+    """The shape for (n, redleaf) and its trace (see ``construction_trace``),
+    each subproblem built once per ``memo``."""
     key = (n, redleaf)
-    shape = memo.get(key)
-    if shape is not None:
-        return shape
+    if key in memo:
+        return memo[key]
     injected = parts(n, redleaf) if parts is not None else None
+    traces = None
     if injected is not None:
         if injected.arity != d or injected.has_red != redleaf:
             raise ValueError(f"injected part for {key} has the wrong kind")
-        shape = injected
+        shape, rule = injected, "injected-part"
     elif n == 1:
+        rule = "base"
         if redleaf:
             shape = join([make_leaf("white", d), make_leaf("red", d)], arity=d)
         else:
             shape = make_leaf("white", d)
     else:
         half = n // 2
-        host = _build(half, d, True, parts, memo)
         if redleaf:
-            core = [
-                _build(half, d, True, parts, memo),
-                _build(n, d, False, parts, memo),
-            ] + [_build(half, d, False, parts, memo)] * (d - 2)
+            core = [(half, True), (n, False)] + [(half, False)] * (d - 2)
         else:
-            core = [_build(half, d, False, parts, memo)] * d
-        shape = graft(host, join(core, arity=d))
-    memo[key] = shape
-    return shape
+            core = [(half, False)] * d
+        built = [_build(m, d, red, parts, memo) for m, red in [(half, True)] + core]
+        shape = graft(built[0][0], join([part for part, _ in built[1:]], arity=d))
+        rule = "redleaf-halving-graft" if redleaf else "halving-graft"
+        traces = [trace for _, trace in built]
+    trace = {"rule": rule, "n": n, "redleaf": redleaf, "code": shape.code,
+             "white_leaves": shape.white_leaves}
+    if traces is not None:
+        trace["parts"] = traces
+    memo[key] = shape, trace
+    return shape, trace
 
 
 def build_universal(n: int, d: int = 2, parts: PartSource | None = None) -> Shape:
@@ -192,14 +198,14 @@ def build_universal(n: int, d: int = 2, parts: PartSource | None = None) -> Shap
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _build(n, d, False, parts, {})
+    return _build(n, d, False, parts, {})[0]
 
 
 def build_universal_redleaf(n: int, d: int = 2, parts: PartSource | None = None) -> Shape:
     """An n-universal redleaf d-ary shape from the halving recursion."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _build(n, d, True, parts, {})
+    return _build(n, d, True, parts, {})[0]
 
 
 def build_redleaf_comb(k: int, d: int = 2,
@@ -269,45 +275,8 @@ def build_universal_tanglegram(n: int, universal: Shape | None = None,
 def construction_trace(n: int, d: int = 2, redleaf: bool = False,
                        parts: PartSource | None = None) -> dict:
     """JSON-ready description of how the recursive builder assembles its
-    output: which rule fired at each level and which parts it used."""
-    injected = parts(n, redleaf) if parts is not None else None
-    if injected is not None:
-        return {
-            "rule": "injected-part",
-            "n": n,
-            "redleaf": redleaf,
-            "code": injected.code,
-            "white_leaves": injected.white_leaves,
-        }
-    if n == 1:
-        shape = build_universal_redleaf(1, d) if redleaf else build_universal(1, d)
-        return {
-            "rule": "base",
-            "n": 1,
-            "redleaf": redleaf,
-            "code": shape.code,
-            "white_leaves": shape.white_leaves,
-        }
-    half = n // 2
-    if redleaf:
-        shape = build_universal_redleaf(n, d, parts)
-        children = [
-            construction_trace(half, d, True, parts),
-            construction_trace(half, d, True, parts),
-            construction_trace(n, d, False, parts),
-        ] + [construction_trace(half, d, False, parts)] * (d - 2)
-        rule = "redleaf-halving-graft"
-    else:
-        shape = build_universal(n, d, parts)
-        children = [construction_trace(half, d, True, parts)] + [
-            construction_trace(half, d, False, parts)
-        ] * d
-        rule = "halving-graft"
-    return {
-        "rule": rule,
-        "n": n,
-        "redleaf": redleaf,
-        "code": shape.code,
-        "white_leaves": shape.white_leaves,
-        "parts": children,
-    }
+    output: which rule fired at each level and which parts it used.  A
+    subproblem met twice shares one trace."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _build(n, d, redleaf, parts, {})[1]

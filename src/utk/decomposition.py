@@ -22,7 +22,7 @@ the original shape exactly:
   leaf and the centroid, where stump + redleaf part together obey the bound
   while the centroid-carrying part may stay as large as ``n``.
 - :func:`split_dary`: the same two procedures for d-ary shapes with up to
-  ``d`` child parts.
+  ``d`` child parts; the two binary splits above are its d = 2 case.
 
 The builders in ``constructions.py`` follow the recursions this split
 justifies without calling it; nothing in ``utk`` imports this module.  It
@@ -163,10 +163,7 @@ def split_for_universal(shape: Shape) -> Split:
         raise ValueError("split_for_universal expects a white shape")
     if shape.arity != 2:
         raise ValueError("split_for_universal expects a binary shape")
-    v = white_leaf_centroid(shape).designated
-    vertex = subtree_at(shape, v)
-    f2, f3 = vertex.children  # canonical order: f2 has the smaller code
-    return Split(f1=_stump(shape, v), f2=f2, f3=f3, kind="universal")
+    return _binary(split_dary(shape))
 
 
 def split_for_redleaf(shape: Shape) -> Split:
@@ -183,25 +180,13 @@ def split_for_redleaf(shape: Shape) -> Split:
         raise ValueError("split_for_redleaf expects a redleaf shape")
     if shape.arity != 2:
         raise ValueError("split_for_redleaf expects a binary shape")
-    v = white_leaf_centroid(shape).designated
-    red_path = _red_leaf_path(shape)
+    return _binary(split_dary(shape, redleaf=True))
 
-    if _is_prefix(v, red_path):  # red leaf strictly below v (v is internal)
-        vertex = subtree_at(shape, v)
-        red_child = red_path[len(v)]
-        f2 = vertex.children[red_child]
-        f3 = vertex.children[1 - red_child]
-        return Split(f1=_stump(shape, v), f2=f2, f3=f3, kind="redleaf-descendant")
 
-    common = 0
-    while common < min(len(v), len(red_path)) and v[common] == red_path[common]:
-        common += 1
-    z = red_path[:common]
-    vertex = subtree_at(shape, z)
-    red_child = red_path[common]
-    f2 = vertex.children[red_child]
-    f3 = vertex.children[1 - red_child]
-    return Split(f1=_stump(shape, z), f2=f2, f3=f3, kind="redleaf-ancestor")
+def _binary(split: DarySplit) -> Split:
+    """A binary ``split_dary`` result as a ``Split``, its two parts in order."""
+    f2, f3 = split.parts
+    return Split(f1=split.f1, f2=f2, f3=f3, kind=split.kind)
 
 
 def split_dary(shape: Shape, redleaf: bool = False) -> DarySplit:

@@ -15,17 +15,19 @@ the pattern embeds into the layer's host h.  A pattern embeds into a root
 over two parts when it embeds into one part or its own root split lands in
 the two parts, so over a group of hosts (the roots over one host each of
 two given layers) its column is an OR of at most four products of whole
-columns.  One kernel per group evaluates that rule for a run of patterns
-and does only the work that can be nonzero: a pattern with more leaves
-than a part skips that part's terms, and one with more leaves than the
-hosts is never visited.  Candidate sweeps AND the target patterns' group
-columns, deepest patterns (caterpillars first) first, and stop at the
-first empty result.
+columns.  That rule lives in one place, a kernel per group that gives one
+pattern's column over the group and does only the work that can be
+nonzero: a pattern with more leaves than a part skips that part's terms,
+and one with more leaves than the hosts is never visited.  Layer builds
+and candidate sweeps both call it.  A sweep ANDs the target patterns'
+group columns, deepest patterns (caterpillars first) first, and stops at
+the first empty result.
 A sweep over size m is the only reader of its top layer (white layer m - 1;
 for redleaf searches red layer m - 1 and white layer m), so the engine
-stores only the layers below it and streams the top one group by group
-into the AND.  A top layer is stored only when a later sweep needs it below
-its own top.
+stores only the layers below it and streams the top one: over each group
+of the top layer, the sweep's kernel reads the top layer's columns through
+that group's own kernel, on demand and never kept.  A top layer is stored
+only when a later sweep needs it below its own top.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -205,8 +207,6 @@ class _Group:
     def kron(self, x: int, y: int) -> int:
         """K(x, y): y in each row a of x, the sum of y << a·W.  The rows
         never overlap, so it is also spread(x) * y."""
-        if x == 1:
-            return y
         if self.spreader is None:
             width, out = self.width, 0
             while x:
@@ -281,6 +281,29 @@ def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
     return layer
 
 
+class _Lazy:
+    """A streamed part's columns over one of its groups, each computed by
+    that group's kernel when it is read."""
+
+    __slots__ = ("piece",)
+
+    def __init__(self, piece: Callable[[int], int]):
+        self.piece = piece
+
+    def __getitem__(self, q: int) -> int:
+        return self.piece(q)
+
+
+def _all_of(piece: Callable[[int], int], targets: list[int], ones: int) -> int:
+    """The AND of the targets' pieces, stopping at the first empty one."""
+    acc = ones
+    for p in targets:
+        acc &= piece(p)
+        if not acc:
+            break
+    return acc
+
+
 def _positions(acc: int, start: int) -> list[int]:
     """Positions of the set bits of ``acc``, counted from ``start``."""
     found = []
@@ -318,21 +341,22 @@ class _BinaryEngine:
     - a tie (i, i) keeps the hosts b >= a of each row a, so each unordered
       pair appears once.
 
-    The kernel binds one group's constants and runs this rule over a list
-    of pids, as a generator.  A term is skipped when p has more leaves than
+    ``_kernel`` binds one group's constants and returns ``piece(p)``, the
+    rule for one pattern.  A term is skipped when p has more leaves than
     its part or one of its factors is 0, and p gets the group's ones when
-    F[p] or C[p] is all ones.  ``_store`` opens one kernel per group and
-    draws each live pattern's pieces from them in turn; a pattern with more
-    leaves than the hosts keeps a 0 column.
+    F[p] or C[p] is all ones.  ``_store`` calls one kernel per group for
+    each live pattern in turn; a pattern with more leaves than the hosts
+    keeps a 0 column.
 
     A sweep over size m ANDs the target patterns' group columns, deepest
     pattern first, and stops at the first empty result; the bits left are
     the winners.  Only the sweep reads its top layer (white m - 1; redleaf:
     red m - 1 and white m), so a sweep stores the layers below it and
     streams the top, which it pairs only with a one-host layer (white 1 or
-    red 0).  That host's pattern row names each target's terms (``_terms``,
-    the one-host case of the rule), and over each group of the top layer a
-    target's piece is the OR of its terms' kernel columns.
+    red 0).  Over each group of the top layer, the sweep group's kernel
+    reads C through that inner group's kernel (``_Lazy``), so stored and
+    streamed groups follow the same rule, and a nested stream would be one
+    more inner kernel.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -410,89 +434,79 @@ class _BinaryEngine:
             return
         timed = budget is not None and budget.limits.max_seconds is not None
         leaves = self.leaves
-        live = [p for p in range(n_patterns) if leaves[p] <= layer.leaves]
         groups = layer.groups
         forward = groups[0].size < groups[-1].size
-        kernels = [(group.size, self._kernel(group, live, compact=True))
+        kernels = [(group.size, self._kernel(group, compact=True))
                    for group in (groups if forward else reversed(groups))]
         cols = [0] * n_patterns
-        for p in live:
+        for p in range(n_patterns):
+            if leaves[p] > layer.leaves:
+                continue
             col = offset = 0
-            for width, kernel in kernels:
+            for width, piece in kernels:
                 if timed:
                     budget.check_time()
                 if forward:
-                    col |= next(kernel) << offset
+                    col |= piece(p) << offset
                     offset += width
                 else:
-                    col = col << width | next(kernel)
+                    col = col << width | piece(p)
             cols[p] = col
         layer.store(cols)
 
-    def _kernel(self, group: _Group, pids: list[int], compact: bool = False) -> Iterator[int]:
-        """Columns of the patterns ``pids``, in order, over the square of
-        ``group`` by the rule in the class docstring (a tie's kept hosts
-        only when ``compact``).  F holds the fixed part's columns and C the
-        other part's, both stored.  A term is skipped when its pattern has
-        more leaves than its part or one of its factors is 0, and a pattern
-        that some whole part holds gets the group's ones."""
+    def _kernel(self, group: _Group, compact: bool = False,
+                inner: _Group | None = None) -> Callable[[int], int]:
+        """``piece(p)``: pattern p's column over the square of ``group`` by
+        the rule in the class docstring (a tie's kept hosts only when
+        ``compact``).  F holds the fixed part's columns and C the other
+        part's.  A term is skipped when its pattern has more leaves than
+        its part or one of its factors is 0, and a pattern that some whole
+        part holds gets the group's ones.  F[p] is tested before C[p] is
+        read, and C[b] is read only when F[a] is nonzero.
+
+        When the other part is streamed, the fixed part has one host and
+        ``inner`` is a group of the other part: the square is then inner's,
+        and C is read over it through inner's own kernel, on demand and
+        never kept."""
         fixed, other = group.fixed, group.other
-        F, C, kron = fixed.cols, other.cols, group.kron
-        f_ones, c_ones, f_leaves, c_leaves = fixed.ones, other.ones, fixed.leaves, other.leaves
-        leaves, splits, n_white = self.leaves, self.splits, self.n_white
+        F, f_ones, f_leaves, c_leaves = fixed.cols, fixed.ones, fixed.leaves, other.leaves
+        if inner is None:
+            C, c_ones, ones = other.cols, other.ones, group.ones
+        else:  # K(1, y) is y: the group's ones are inner's
+            C, c_ones, ones = _Lazy(self._kernel(inner)), inner.ones, inner.ones
+        kron, leaves, splits, n_white = group.kron, self.leaves, self.splits, self.n_white
         # A white part holds no red pattern: a red p lies in the red part,
         # and so does its red child, the first of its split.
         red_fixed = group.fixed_first
         triangle = group.triangle if compact and group.tie else None
-        ones = (1 << group.size) - 1 if triangle else group.ones
-        for p in pids:
+        if triangle:
+            ones = (1 << group.size) - 1
+
+        def piece(p: int) -> int:
             n = leaves[p]
             white = p < n_white
             in_fixed = white or red_fixed
             in_other = white or not red_fixed
             x = F[p] if in_fixed and n <= f_leaves else 0
+            if x == f_ones:
+                return ones
             y = C[p] if in_other and n <= c_leaves else 0
-            if x == f_ones or y == c_ones:
-                yield ones
-                continue
-            col = kron(x, c_ones) if x else 0
+            if y == c_ones:
+                return ones
+            # K(1, y) is y itself: the kron call is saved for it.
+            col = (c_ones if x == 1 else kron(x, c_ones)) if x else 0
             if y:
-                col |= kron(f_ones, y)
+                col |= y if f_ones == 1 else kron(f_ones, y)
             split = splits[p]
             if split is not None:
                 a, b = split
-                if in_fixed:
-                    x, y = F[a], C[b]
-                    if x and y:
-                        col |= kron(x, y)
-                if in_other:
-                    x, y = F[b], C[a]
-                    if x and y:
-                        col |= kron(x, y)
-            if triangle:
-                col = triangle(col)
-            # Hand the piece over without a reference left in this frame
-            # while it waits: held pieces cost about 0.4 MB of max RSS in the
-            # 850-pattern build to layer 21.
-            yield (col, col := 0)[0]
+                if in_fixed and (x := F[a]) and (y := C[b]):
+                    col |= y if x == 1 else kron(x, y)
+                if in_other and (x := F[b]) and (y := C[a]):
+                    col |= y if x == 1 else kron(x, y)
+            return triangle(col) if triangle else col
 
-    def _terms(self, p: int, row: int, fixed_first: bool) -> tuple[int, ...] | None:
-        """The rule for a fixed part of one host with pattern row ``row``:
-        the patterns whose columns over the other part OR to pattern p's
-        column; None when the fixed host has p, so every host does."""
-        if row >> p & 1:
-            return None
-        in_fixed = p < self.n_white or fixed_first
-        in_other = p < self.n_white or not fixed_first
-        terms = (p,) if in_other else ()
-        split = self.splits[p]
-        if split is not None:
-            a, b = split
-            if in_fixed and row >> a & 1:
-                terms += (b,)
-            if in_other and row >> b & 1:
-                terms += (a,)
-        return terms
+        return piece
 
     # -- target tables ----------------------------------------------------- #
 
@@ -546,46 +560,27 @@ class _BinaryEngine:
         winners: list[tuple[int, int, int]] = []
         for i in range(m) if self.redleaf else range(1, m // 2 + 1):
             group = self._group(m, i, self.redleaf)
-            if group.other.cols is None:  # the top layer, with a one-host part
-                pairs = [(0, pos) for pos in self._streamed_hits(targets, group, budget)]
-            else:
-                acc = group.ones
-                for col in self._kernel(group, targets):
-                    acc &= col
-                    if not acc:
-                        break
-                pairs = [divmod(pos, group.width) for pos in _positions(acc, 0)]
-                if group.tie:
-                    pairs = [(a, b) for a, b in pairs if b >= a]
+            pairs = [divmod(pos, group.width) for pos in self._survivors(group, targets, budget)]
+            if group.tie:
+                pairs = [(a, b) for a, b in pairs if b >= a]
             winners += [(i, a, b) if group.fixed_first else (i, b, a) for a, b in pairs]
             for examined in self._chunk_space(m, i):
                 budget.spend(examined)
         return winners
 
-    def _streamed_hits(self, targets: list[int], group: _Group, budget: _Budget) -> list[int]:
-        """Hosts of the streamed layer ``group.other`` that, rooted with the
-        fixed part's one host, contain every target: per group of the
-        streamed layer, a target's piece is the OR of its terms' columns
-        over that group, ANDed deepest target first."""
-        row = sum(1 << q for q, col in enumerate(group.fixed.cols) if col)
-        terms = [t for t in (self._terms(p, row, group.fixed_first) for p in targets)
-                 if t is not None]
-        if () in terms:
-            return []
-        flat = [q for qs in terms for q in qs]
-        top = group.other
+    def _survivors(self, group: _Group, targets: list[int], budget: _Budget) -> list[int]:
+        """Positions in ``group``'s square of the hosts that contain every
+        target: the targets' kernel pieces ANDed, deepest target first, up
+        to the first empty result.  A streamed other part is walked by its
+        own groups, each inner group's hosts placed at its offset (a tie's
+        trimmed to the kept ones)."""
+        other = group.other
+        if other.cols is not None:
+            return _positions(_all_of(self._kernel(group), targets, group.ones), 0)
         hits: list[int] = []
-        for offset, inner in zip(top.offsets, top.groups):
+        for offset, inner in zip(other.offsets, other.groups):
             budget.check_time()
-            acc = inner.ones
-            cols = self._kernel(inner, flat)
-            for qs in terms:
-                piece = 0
-                for _ in qs:
-                    piece |= next(cols)
-                acc &= piece
-                if not acc:
-                    break
+            acc = _all_of(self._kernel(group, inner=inner), targets, inner.ones)
             if inner.tie:
                 acc = inner.triangle(acc)
             hits += _positions(acc, offset)

@@ -4,12 +4,13 @@ message, never a traceback."""
 
 import pytest
 
-from utk.cli import main
+from utk.cli import MAX_BUILD_LEAVES, MAX_COUNT_N, main
 from utk.shapes import caterpillar, to_newick
 
 HUGE = str(10**20)
 DEEP = caterpillar(700)
 TANGLE = "(x,(x,x));|((x,x),x);|0 1 2"
+BUILD_KINDS = ("universal", "redleaf", "comb", "tanglegram")
 
 MALFORMED_CODES = ["", "(", ")", "((oo)", "(oo))", "()", "(()o)", "(o)", "oo", "(ox)",
                    "abc", "((((((((", "(oo)(oo)", "(rr)", "(o r)"]
@@ -34,6 +35,7 @@ CASES = (
         ("search", "-n", n, "--max-seconds", "1"),
     )]
     + [(cmd, "-n", n) for cmd in ("search", "build", "tangle-enumerate") for n in ("0", "-1")]
+    + [("build", "-n", HUGE, "--kind", kind) for kind in BUILD_KINDS]
     # "--max-seconds=-inf": as a separate word, argparse reads "-inf" as an option.
     + [("search", "-n", "5", f"--max-seconds={value}") for value in ("nan", "inf", "-inf", "-1", "0")]
     + [
@@ -58,3 +60,33 @@ def test_every_input_ends_in_a_documented_exit(capsys, argv):
         assert "PARTIAL RESULT" in out
     elif code:
         assert err.startswith("utk: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    *(("build", "-n", HUGE, "--kind", kind) for kind in BUILD_KINDS),
+    ("build", "-n", "2000"),
+    ("enumerate", "-n", HUGE),
+    ("tangle-enumerate", "-n", HUGE),
+    ("tangle-enumerate", "-n", HUGE, "--count"),
+], ids=lambda argv: " ".join(argv)[:60])
+def test_huge_n_is_refused_before_work(capsys, argv):
+    # A size that would exhaust memory or the recursion limit is a usage
+    # error that names the limit, found before anything is built or listed.
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    limit = MAX_BUILD_LEAVES if argv[0] == "build" else MAX_COUNT_N
+    assert err.startswith("utk: ") and str(limit) in err, err
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    import utk.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(utk.cli, "build_universal", exhausted)
+    code = main(["build", "-n", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "utk: out of memory\n"

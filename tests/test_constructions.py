@@ -275,3 +275,23 @@ class TestTrace:
             2, parts=lambda m, red: parse_code("(oo)") if (m, red) == (2, False) else None
         )
         assert trace["rule"] == "injected-part"
+
+    def test_every_node_matches_its_build(self):
+        # Each node's code has the white leaves it reports, and the root is
+        # the shape the builder returns.
+        for d in (2, 3):
+            for redleaf in (False, True):
+                build = build_universal_redleaf if redleaf else build_universal
+                for n in range(1, 33):
+                    trace = construction_trace(n, d, redleaf)
+                    assert trace["code"] == build(n, d).code
+                    stack, seen = [trace], set()
+                    while stack:
+                        node = stack.pop()
+                        if id(node) in seen:  # a shared subproblem
+                            continue
+                        seen.add(id(node))
+                        shape = parse_code(node["code"], arity=d)
+                        assert shape.white_leaves == node["white_leaves"]
+                        assert shape.has_red == node["redleaf"]
+                        stack += node.get("parts", [])

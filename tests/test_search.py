@@ -280,18 +280,27 @@ class TestGroupKernel:
         )
 
     def test_store_visits_live_patterns_only(self, monkeypatch):
-        # A layer's build passes the kernel exactly the patterns with no more
-        # leaves than its hosts, which have as many leaves as its two parts.
+        # A layer's build calls each group's kernel exactly for the patterns
+        # with no more leaves than its hosts, which have as many leaves as
+        # its two parts.
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(8, redleaf=True)
         calls = []
         kernel = _BinaryEngine._kernel
 
-        def recording(self, group, pids, compact=False):
-            if compact:
-                calls.append((group.fixed.leaves + group.other.leaves, list(pids)))
-            return kernel(self, group, pids, compact)
+        def recording(self, group, compact=False, inner=None):
+            piece = kernel(self, group, compact, inner)
+            if not compact:
+                return piece
+            pids = []
+            calls.append((group.fixed.leaves + group.other.leaves, pids))
+
+            def recorded(p):
+                pids.append(p)
+                return piece(p)
+
+            return recorded
 
         monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
         engine.ensure_red_layer(9)
@@ -316,7 +325,7 @@ class TestGroupKernel:
         products = []
         kron = _Group.kron
         monkeypatch.setattr(_Group, "kron", lambda g, x, y: products.append(1) or kron(g, x, y))
-        assert list(engine._kernel(group, [cherry])) == [group.ones]
+        assert engine._kernel(group)(cherry) == group.ones
         assert products == []
 
 
@@ -341,6 +350,26 @@ class TestStreamedTopLayer:
         codes = sorted(engine.pair_code(m, pair) for pair in engine.sweep(m, k, budget))
         return codes, budget.examined
 
+    @staticmethod
+    def _survivors(engine, m, k):
+        """Per group of the sweep, the surviving hosts' positions, and
+        whether the group's other part was streamed."""
+        from utk.search import _Budget
+
+        groups = [engine._group(m, i, engine.redleaf)
+                  for i in (range(m) if engine.redleaf else range(1, m // 2 + 1))]
+        targets = engine.target_pids(k)
+        return [(engine._survivors(g, targets, _Budget(None)), g.other.cols is None)
+                for g in groups]
+
+    def _survivors_agree(self, streamed, stored, m, k):
+        by_stream = self._survivors(streamed, m, k)
+        by_store = self._survivors(stored, m, k)
+        assert [hits for hits, _ in by_stream] == [hits for hits, _ in by_store], (m, k)
+        assert not any(was_streamed for _, was_streamed in by_store)
+        if m >= 3 or streamed.redleaf and m >= 2:
+            assert any(was_streamed for _, was_streamed in by_stream), (m, k)
+
     def test_white_sweeps_agree(self):
         from utk.search import _BinaryEngine
 
@@ -351,6 +380,7 @@ class TestStreamedTopLayer:
             stored = _BinaryEngine(9, redleaf=False)
             stored.ensure_white_layer(max(m - 1, 1))
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
+            self._survivors_agree(streamed, stored, m, k)
             if m >= 3:
                 assert streamed.white_layers[m - 1].cols is None
                 assert streamed.white_layers[m - 2].cols is not None
@@ -366,6 +396,7 @@ class TestStreamedTopLayer:
             stored.ensure_red_layer(m - 1)
             stored.ensure_white_layer(m)
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
+            self._survivors_agree(streamed, stored, m, k)
             if m >= 2:
                 assert streamed.red_layers[m - 1].cols is None
                 assert streamed.white_layers[m].cols is None
