@@ -271,6 +271,8 @@ def _cmd_search(args) -> int:
     if args.chain or args.table:
         reports = find_min_universal_chain(args.n, args.d, args.redleaf, limits)
         last = reports[-1]
+        partial = [] if last.authoritative else [
+            f"PARTIAL RESULT: stopped at level {last.n}: {last.limit_reason}"]
         if args.format == "json":
             _write(_dump([_report_dict(r, args.timing) for r in reports]), args.output)
         elif args.table:
@@ -281,20 +283,24 @@ def _cmd_search(args) -> int:
             head = "n".ljust(8) + "".join(x.rjust(width) for x in ns)
             row1 = "kalmar".ljust(8) + "".join(x.rjust(width) for x in kal)
             row2 = "u(n)".ljust(8) + "".join(x.rjust(width) for x in us)
-            _write("\n".join((head, row1, row2)), args.output)
+            _write("\n".join((head, row1, row2, *partial)), args.output)
         else:
             lines = [
-                f"n={r.n}: u={r.u_value} ({len(r.minimal_shapes)} minimal shapes)"
+                f"n={r.n}: u={'?' if r.u_value is None else r.u_value}"
+                f" ({len(r.minimal_shapes)} minimal shapes)"
                 for r in reports
             ]
-            _write("\n".join(lines), args.output)
+            _write("\n".join(lines + partial), args.output)
         return EXIT_OK if last.authoritative else EXIT_RESOURCE_LIMIT
 
     report = find_min_universal(args.n, args.d, args.redleaf, limits)
     if args.format == "json":
         _write(_dump(_report_dict(report, args.timing)), args.output)
     elif args.format == "codes":
-        _write("\n".join(report.minimal_shapes), args.output)
+        if report.authoritative:
+            _write("\n".join(report.minimal_shapes), args.output)
+        else:  # the output holds codes only, and a partial report has none
+            print(f"PARTIAL RESULT: {report.limit_reason}", file=sys.stderr)
     else:
         lines = [
             f"n={report.n} d={report.d}" + (" redleaf" if report.redleaf else ""),

@@ -20,14 +20,18 @@ pattern's column over the group and does only the work that can be
 nonzero: a pattern with more leaves than a part skips that part's terms,
 and one with more leaves than the hosts is never visited.  Layer builds
 and candidate sweeps both call it.  A sweep ANDs the target patterns'
-group columns, deepest patterns (caterpillars first) first, and stops at
-the first empty result.
+group columns and stops at the first empty result.  The order of the AND
+is learned, one order per level shared by all its sweeps: it starts
+deepest pattern (caterpillars) first, and a target that empties a group's
+AND moves to the front, so the targets that fail are tried first.  The AND
+does not depend on the order, so results and budgets do not either.
 A sweep over size m is the only reader of its top layer (white layer m - 1;
 for redleaf searches red layer m - 1 and white layer m), so the engine
 stores only the layers below it and streams the top one: over each group
-of the top layer, the sweep's kernel reads the top layer's columns through
-that group's own kernel, on demand and never kept.  A top layer is stored
-only when a later sweep needs it below its own top.
+of the top layer, the sweep reads the top layer's columns from that
+group's own kernel, on demand and never kept; which columns each target
+reads is decided once per sweep group.  A top layer is stored only when a
+later sweep needs it below its own top.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -281,25 +285,28 @@ def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
     return layer
 
 
-class _Lazy:
-    """A streamed part's columns over one of its groups, each computed by
-    that group's kernel when it is read."""
+class _PidBits:
+    """Symbolic columns: column q is the bit 1 << q, so a kernel that ORs
+    some of them returns the set of the columns it read."""
 
-    __slots__ = ("piece",)
-
-    def __init__(self, piece: Callable[[int], int]):
-        self.piece = piece
+    __slots__ = ()
 
     def __getitem__(self, q: int) -> int:
-        return self.piece(q)
+        return 1 << q
 
 
-def _all_of(piece: Callable[[int], int], targets: list[int], ones: int) -> int:
-    """The AND of the targets' pieces, stopping at the first empty one."""
+def _all_of(piece: Callable[[int], int], order: list[int], ones: int) -> int:
+    """The AND of the pieces of the targets in ``order``, stopping at the
+    first empty result.  The target that empties it moves to the front of
+    ``order``, so the next AND tries it first; the AND itself does not
+    depend on the order."""
     acc = ones
-    for p in targets:
+    for j, p in enumerate(order):
         acc &= piece(p)
         if not acc:
+            if j:
+                del order[j]
+                order.insert(0, p)
             break
     return acc
 
@@ -348,15 +355,19 @@ class _BinaryEngine:
     each live pattern in turn; a pattern with more leaves than the hosts
     keeps a 0 column.
 
-    A sweep over size m ANDs the target patterns' group columns, deepest
-    pattern first, and stops at the first empty result; the bits left are
-    the winners.  Only the sweep reads its top layer (white m - 1; redleaf:
-    red m - 1 and white m), so a sweep stores the layers below it and
-    streams the top, which it pairs only with a one-host layer (white 1 or
-    red 0).  Over each group of the top layer, the sweep group's kernel
-    reads C through that inner group's kernel (``_Lazy``), so stored and
-    streamed groups follow the same rule, and a nested stream would be one
-    more inner kernel.
+    A sweep over size m ANDs the target patterns' group columns and stops
+    at the first empty result; the bits left are the winners.  The targets
+    are ANDed in ``orders[k]``, one order per level k shared by every sweep
+    and group of the level: it starts as ``target_pids(k)``, deepest
+    pattern first, and each target that empties an AND moves to its front
+    (``_all_of``).  Only the sweep reads its top layer (white m - 1;
+    redleaf: red m - 1 and white m), so a sweep stores the layers below it
+    and streams the top, which it pairs only with a one-host layer (white 1
+    or red 0).  There every factor from F is 0 or 1, so the sweep group's
+    kernel, run once over symbolic columns, names the columns of C that
+    each target ORs; over each group of the top layer they are read from
+    that inner group's kernel.  Stored and streamed groups follow the same
+    rule, and a nested stream would be one more inner kernel.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -385,6 +396,9 @@ class _BinaryEngine:
             if c2.has_red:
                 c1, c2 = c2, c1
             self.splits.append((pid[c1.code], pid[c2.code]))
+        # Per level k, the order in which sweeps AND the targets (see
+        # ``_all_of``), shared by every sweep of the level.
+        self.orders: dict[int, list[int]] = {}
         self.white_layers = {1: _leaf_layer(pid["o"], self.n_white)}
         self.red_layers = {0: _leaf_layer(pid["r"], len(patterns))} if redleaf else {}
 
@@ -454,8 +468,7 @@ class _BinaryEngine:
             cols[p] = col
         layer.store(cols)
 
-    def _kernel(self, group: _Group, compact: bool = False,
-                inner: _Group | None = None) -> Callable[[int], int]:
+    def _kernel(self, group: _Group, compact: bool = False) -> Callable[[int], int]:
         """``piece(p)``: pattern p's column over the square of ``group`` by
         the rule in the class docstring (a tie's kept hosts only when
         ``compact``).  F holds the fixed part's columns and C the other
@@ -464,16 +477,17 @@ class _BinaryEngine:
         part holds gets the group's ones.  F[p] is tested before C[p] is
         read, and C[b] is read only when F[a] is nonzero.
 
-        When the other part is streamed, the fixed part has one host and
-        ``inner`` is a group of the other part: the square is then inner's,
-        and C is read over it through inner's own kernel, on demand and
-        never kept."""
+        When the other part is streamed, the fixed part is one host, so
+        every factor from F is 0 or 1 and K(1, y) is y: the piece is all
+        ones or the OR of some of C's columns.  The kernel then runs over
+        symbolic columns (``_PidBits``) and ``piece(p)`` is -1 for all ones,
+        else the set of the q whose C[q] the OR reads, as bits."""
         fixed, other = group.fixed, group.other
         F, f_ones, f_leaves, c_leaves = fixed.cols, fixed.ones, fixed.leaves, other.leaves
-        if inner is None:
+        if other.cols is None:  # no C column equals -1, so none reads as all ones
+            C, c_ones, ones = _PidBits(), -1, -1
+        else:
             C, c_ones, ones = other.cols, other.ones, group.ones
-        else:  # K(1, y) is y: the group's ones are inner's
-            C, c_ones, ones = _Lazy(self._kernel(inner)), inner.ones, inner.ones
         kron, leaves, splits, n_white = group.kron, self.leaves, self.splits, self.n_white
         # A white part holds no red pattern: a red p lies in the red part,
         # and so does its red child, the first of its split.
@@ -512,7 +526,7 @@ class _BinaryEngine:
 
     def target_pids(self, k: int) -> list[int]:
         """The size-k candidate patterns (red ones for redleaf searches),
-        deepest pattern first."""
+        deepest pattern first: the seed of the level's learned order."""
         pids = [p for p, s in enumerate(self.patterns)
                 if s.has_red == self.redleaf and s.white_leaves == k]
         return sorted(pids, key=lambda p: (-self.patterns[p].height, p))
@@ -556,11 +570,13 @@ class _BinaryEngine:
             self._layer(m, False, budget)
         else:
             self._layer(m - 1, False, budget)
-        targets = self.target_pids(k)
+        order = self.orders.get(k)
+        if order is None:
+            order = self.orders[k] = self.target_pids(k)
         winners: list[tuple[int, int, int]] = []
         for i in range(m) if self.redleaf else range(1, m // 2 + 1):
             group = self._group(m, i, self.redleaf)
-            pairs = [divmod(pos, group.width) for pos in self._survivors(group, targets, budget)]
+            pairs = [divmod(pos, group.width) for pos in self._survivors(group, order, budget)]
             if group.tie:
                 pairs = [(a, b) for a, b in pairs if b >= a]
             winners += [(i, a, b) if group.fixed_first else (i, b, a) for a, b in pairs]
@@ -568,19 +584,37 @@ class _BinaryEngine:
                 budget.spend(examined)
         return winners
 
-    def _survivors(self, group: _Group, targets: list[int], budget: _Budget) -> list[int]:
+    def _survivors(self, group: _Group, order: list[int], budget: _Budget) -> list[int]:
         """Positions in ``group``'s square of the hosts that contain every
-        target: the targets' kernel pieces ANDed, deepest target first, up
-        to the first empty result.  A streamed other part is walked by its
-        own groups, each inner group's hosts placed at its offset (a tie's
-        trimmed to the kept ones)."""
+        target: the targets' kernel pieces ANDed in ``order`` up to the
+        first empty result (``_all_of``, which also learns the order).
+
+        A streamed other part is walked by its own groups, each inner
+        group's hosts placed at its offset (a tie's trimmed to the kept
+        ones).  Which of C's columns a target reads is decided once, by the
+        sweep group's kernel (see ``_kernel``); over each inner group those
+        columns are read from the inner group's kernel and ORed."""
         other = group.other
         if other.cols is not None:
-            return _positions(_all_of(self._kernel(group), targets, group.ones), 0)
+            return _positions(_all_of(self._kernel(group), order, group.ones), 0)
+        reads = self._kernel(group)
+        plan = {p: None if (mask := reads(p)) < 0 else _positions(mask, 0) for p in order}
+
+        # ``piece`` and ``ones`` are those of the inner group the loop is at.
+        def through(p: int) -> int:
+            qs = plan[p]
+            if qs is None:
+                return ones
+            col = 0
+            for q in qs:
+                col |= piece(q)
+            return col
+
         hits: list[int] = []
         for offset, inner in zip(other.offsets, other.groups):
             budget.check_time()
-            acc = _all_of(self._kernel(group, inner=inner), targets, inner.ones)
+            piece, ones = self._kernel(inner), inner.ones
+            acc = _all_of(through, order, ones)
             if inner.tie:
                 acc = inner.triangle(acc)
             hits += _positions(acc, offset)

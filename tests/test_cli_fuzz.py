@@ -38,6 +38,8 @@ CASES = (
     + [("build", "-n", HUGE, "--kind", kind) for kind in BUILD_KINDS]
     # "--max-seconds=-inf": as a separate word, argparse reads "-inf" as an option.
     + [("search", "-n", "5", f"--max-seconds={value}") for value in ("nan", "inf", "-inf", "-1", "0")]
+    + [("search", "-n", "8", "--max-candidates", "5", *extra)
+       for extra in (("--chain",), ("--table",), ("--format", "codes"))]
     + [
         ("check", DEEP.code, "-n", "4"),
         ("check", to_newick(DEEP), "-n", "4", "--json"),
@@ -56,8 +58,8 @@ def test_every_input_ends_in_a_documented_exit(capsys, argv):
     assert "Traceback" not in out + err
     if code == 1:  # a verdict, not an error
         assert "NOT universal" in out
-    elif code == 3 and argv[0] == "search":  # a partial report
-        assert "PARTIAL RESULT" in out
+    elif code == 3 and argv[0] == "search":  # a partial report; codes keep stdout for codes
+        assert "PARTIAL RESULT" in (err if "codes" in argv else out)
     elif code:
         assert err.startswith("utk: "), err
 
