@@ -265,6 +265,9 @@ def _cmd_search(args) -> int:
                         ("--max-seconds", args.max_seconds)):
         if value is not None and not 0 < value < math.inf:  # nan fails both
             raise _CliError(f"{name} must be positive and finite")
+    if (args.chain or args.table) and args.format == "codes":
+        raise _CliError("--format codes lists one level's shapes; "
+                        "use it without --chain and --table")
     limits = None
     if args.max_candidates or args.max_seconds:
         limits = SearchLimits(args.max_candidates, args.max_seconds)

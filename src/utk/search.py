@@ -702,18 +702,20 @@ def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
 def find_min_universal(n: int, d: int = 2, redleaf: bool = False,
                        limits: SearchLimits | None = None) -> SearchReport:
     """Exact minimal universal size and the complete catalog of minimal
-    universal shapes for the given n (see ``find_min_universal_chain``)."""
+    universal shapes for the given n (see ``find_min_universal_chain``).
+    A partial report names the level the limit stopped, n included, and
+    counts the candidates of every level."""
     reports = find_min_universal_chain(n, d, redleaf, limits)
     last = reports[-1]
-    if last.n != n:  # a limit stopped the chain early
-        return SearchReport(
-            n=n, d=d, redleaf=redleaf, u_value=None, minimal_shapes=(),
-            candidates_examined=sum(r.candidates_examined for r in reports),
-            wall_time=sum(r.wall_time for r in reports),
-            authoritative=False,
-            limit_reason=f"stopped at level {last.n}: {last.limit_reason}",
-        )
-    return last
+    if last.authoritative:
+        return last
+    return SearchReport(
+        n=n, d=d, redleaf=redleaf, u_value=None, minimal_shapes=(),
+        candidates_examined=sum(r.candidates_examined for r in reports),
+        wall_time=sum(r.wall_time for r in reports),
+        authoritative=False,
+        limit_reason=f"stopped at level {last.n}: {last.limit_reason}",
+    )
 
 
 def check_depth_conjecture(report: SearchReport) -> bool:

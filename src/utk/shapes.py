@@ -23,10 +23,12 @@ Deep trees
 No pass in this module recurses over a tree: the parsers, the leaf colors
 and induced subtrees scan the code left to right; DOT export, the postorder
 view (``_postorder``) and ``graft``/``replace_subtree`` keep their own
-stacks or paths; Newick export rewrites the code.  So a tree of any depth
-parses and prints.  The containment dynamic program in
-:mod:`utk.embedding` still recurses, so checking a host about 330 levels
-deep or more (``utk check``) ends in exit 3.
+stacks or paths; the class view (``_classes``: one entry per distinct
+subtree, the view MAST runs over) is one loop over the postorder; Newick
+export rewrites the code.  So a tree of any depth parses and prints.  The
+containment dynamic program in :mod:`utk.embedding` still recurses, so
+checking a host about 330 levels deep or more (``utk check``) ends in
+exit 3.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def jellyfish(spec: JellyfishSpec | None = None, h: int | None = None,
 
 def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
     """Postorder node list plus the children's indices per node: the tree
-    view that the embedding and MAST dynamic programs and
+    view that the embedding dynamic program and
     ``tanglegrams.leaf_automorphisms`` run over.
 
     A node object shared by several parents is listed once, so those passes
@@ -289,6 +291,32 @@ def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
             nodes.append(node)
             kids.append([index[id(kid)] for kid in node.children])
     return nodes, kids
+
+
+def _classes(shape: Shape) -> tuple[list[Shape], list[tuple[int, ...]]]:
+    """The class view: one entry per distinct subtree (canonical code) of
+    ``shape``, children first and the root last, as a representative node
+    plus its children's class ids (``()`` for a leaf).  The view the MAST
+    dynamic program runs over.
+
+    Built in one pass over ``_postorder``'s output.  Children are stored in
+    canonical order, so two inner nodes have the same code exactly when
+    their children's class ids agree in order; a leaf is keyed by its code.
+    No code longer than one character is compared.
+    """
+    nodes, kids = _postorder(shape)
+    reps: list[Shape] = []
+    class_kids: list[tuple[int, ...]] = []
+    ids: dict[object, int] = {}
+    class_of: list[int] = []  # per postorder node
+    for node, node_kids in zip(nodes, kids):
+        key = tuple([class_of[k] for k in node_kids]) if node_kids else node.code
+        c = ids.setdefault(key, len(reps))
+        if c == len(reps):
+            reps.append(node)
+            class_kids.append(key if node_kids else ())
+        class_of.append(c)
+    return reps, class_kids
 
 
 def leaf_colors(shape: Shape) -> list[bool]:

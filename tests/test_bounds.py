@@ -15,7 +15,7 @@ from utk.bounds import (
     tangle_lower,
 )
 from utk.embedding import mast
-from utk.shapes import jellyfish
+from utk.shapes import jellyfish, parse_code
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +89,11 @@ class TestChungLower:
                     assert jellyfish_mast(specs[i - 1], specs[j - 1]) == expect
 
     def test_mast_sum_matches_dp(self):
-        for k in (2, 3):
-            family = [jellyfish(h=i - 1, ell=2 ** (k - i + 1)) for i in range(1, k + 1)]
+        # Parsed from codes, so no node object is shared; a jellyfish has
+        # h + l distinct subtrees, which keeps k = 10 (1,024 leaves) fast.
+        for k in range(2, 11):
+            family = [parse_code(jellyfish(h=i - 1, ell=2 ** (k - i + 1)).code)
+                      for i in range(1, k + 1)]
             assert all(t.white_leaves == 2**k for t in family)
             dp_sum = sum(
                 mast(family[i], family[j])

@@ -185,6 +185,26 @@ class TestSearch:
         assert code == 3
         assert "PARTIAL RESULT" in out
 
+    def test_partial_report_at_level_n_names_the_level(self, capsys):
+        # Stopped at level 4, by -n 4 or -n 8 alike: the same line, and the
+        # candidates of levels 1..4 counted.
+        reports = []
+        for n in ("4", "8"):
+            code, out, _ = run_cli(capsys, "search", "-n", n, "--max-candidates", "5")
+            assert code == 3
+            reports.append(out.splitlines()[-2:])
+        assert reports[0] == reports[1] == [
+            "candidates examined: 7",
+            "PARTIAL RESULT: stopped at level 4: candidate limit 5 exceeded",
+        ]
+
+    def test_codes_format_with_chain_or_table_is_usage_error(self, capsys):
+        for flag in ("--chain", "--table"):
+            code, out, err = run_cli(capsys, "search", "-n", "4", flag, "--format", "codes")
+            assert (code, out) == (2, "")
+            assert err == ("utk: --format codes lists one level's shapes; "
+                           "use it without --chain and --table\n")
+
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "search", "-n", "6", "--json")
         _, second, _ = run_cli(capsys, "search", "-n", "6", "--json")
@@ -222,6 +242,13 @@ class TestMast:
     def test_needs_two_shapes(self, capsys):
         code, _, err = run_cli(capsys, "mast", "(oo)")
         assert code == 2 and "two shapes" in err
+
+    def test_built_universal_shapes(self, capsys):
+        # Two separately parsed 10,923-leaf codes: the table has a row per
+        # distinct subtree (255), not per node (21,845).
+        _, built, _ = run_cli(capsys, "build", "-n", "128")
+        code, out, err = run_cli(capsys, "mast", built.strip(), built.strip())
+        assert (code, out, err) == (0, "10923\n", "")
 
     def test_deep_caterpillars(self, capsys):
         for size in (600, 1200):

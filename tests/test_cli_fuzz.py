@@ -40,6 +40,7 @@ CASES = (
     + [("search", "-n", "5", f"--max-seconds={value}") for value in ("nan", "inf", "-inf", "-1", "0")]
     + [("search", "-n", "8", "--max-candidates", "5", *extra)
        for extra in (("--chain",), ("--table",), ("--format", "codes"))]
+    + [("search", "-n", "4", flag, "--format", "codes") for flag in ("--chain", "--table")]
     + [
         ("check", DEEP.code, "-n", "4"),
         ("check", to_newick(DEEP), "-n", "4", "--json"),

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import all_shapes_upto, brute_is_induced_subtree, brute_mast
+from utk.constructions import build_universal
 from utk.embedding import is_induced_subtree, jellyfish_mast, mast
 from utk.shapes import (
     JellyfishSpec,
@@ -13,6 +14,7 @@ from utk.shapes import (
     jellyfish,
     join,
     make_leaf,
+    parse_code,
 )
 
 
@@ -102,7 +104,9 @@ class TestMast:
             assert mast(shape, shape) == shape.white_leaves
 
     def test_matches_brute_force(self):
-        shapes = all_shapes_upto(5)
+        # Parsed from codes, so the table's rows come from the codes alone,
+        # not from node objects the enumeration shares.
+        shapes = [parse_code(shape.code) for shape in all_shapes_upto(5)]
         for t1, t2 in itertools.product(shapes, repeat=2):
             assert mast(t1, t2) == brute_mast(t1, t2), (t1.code, t2.code)
 
@@ -122,6 +126,14 @@ class TestMast:
         # Height 599, beyond Python's recursion limit.
         assert mast(caterpillar(600), caterpillar(600)) == 600
         assert mast(caterpillar(600), complete_tree(3)) == 4
+
+    def test_parsed_recursive_constructions(self):
+        # 63 and 31 distinct subtrees: the table stays small although the
+        # shapes have hundreds of leaves and share no node object.
+        code = build_universal(32).code
+        assert mast(parse_code(code), parse_code(code)) == 683
+        small = parse_code(build_universal(16).code)
+        assert mast(small, parse_code(code)) == small.white_leaves
 
     def test_rejects_redleaf(self):
         red = next(enumerate_shapes(2, redleaf=True))
@@ -148,6 +160,8 @@ class TestJellyfishMast:
     def test_matches_dp(self):
         # Acceptance criterion: closed form equals the DP for all
         # h1, h2 <= 3 and ell1, ell2 in 2..5, exactly.
+        # Parsed from codes, so no node object is shared.
         specs = [JellyfishSpec(h, ell) for h in range(4) for ell in range(2, 6)]
+        trees = {spec: parse_code(jellyfish(spec).code) for spec in specs}
         for s1, s2 in itertools.combinations_with_replacement(specs, 2):
-            assert jellyfish_mast(s1, s2) == mast(jellyfish(s1), jellyfish(s2)), (s1, s2)
+            assert jellyfish_mast(s1, s2) == mast(trees[s1], trees[s2]), (s1, s2)

@@ -12,6 +12,7 @@ from oracles import (
     raw_to_code,
     wedderburn,
 )
+from utk.constructions import build_universal
 from utk.shapes import (
     JellyfishSpec,
     Shape,
@@ -32,6 +33,7 @@ from utk.shapes import (
     subtree_at,
     to_dot,
     to_newick,
+    _classes,
 )
 
 
@@ -141,6 +143,45 @@ class TestFamilies:
         with pytest.raises(ValueError):
             JellyfishSpec(h=-1, ell=2)
         assert jellyfish(JellyfishSpec(1, 4)).white_leaves == 8
+
+
+class TestClassView:
+    @staticmethod
+    def subtree_codes(shape):
+        stack, codes = [shape], set()
+        while stack:
+            node = stack.pop()
+            codes.add(node.code)
+            stack.extend(node.children)
+        return codes
+
+    def test_one_class_per_distinct_subtree(self):
+        shapes = all_shapes_upto(7) + all_shapes_upto(5, redleaf=True) + all_shapes_upto(5, arity=3)
+        for shape in shapes:
+            reps, kids = _classes(parse_code(shape.code, shape.arity))
+            codes = [rep.code for rep in reps]
+            assert len(set(codes)) == len(codes)
+            assert set(codes) == self.subtree_codes(shape)
+            assert codes[-1] == shape.code
+            for c, (rep, rep_kids) in enumerate(zip(reps, kids)):
+                assert all(k < c for k in rep_kids)  # children first
+                assert [reps[k].code for k in rep_kids] == [kid.code for kid in rep.children]
+
+    def test_red_and_white_leaves_are_distinct_classes(self):
+        reps, kids = _classes(parse_code("(o(or))"))
+        assert [rep.code for rep in reps] == ["o", "r", "(or)", "(o(or))"]
+        assert kids == [(), (), (0, 1), (0, 2)]
+
+    def test_recursive_constructions_and_jellyfish(self):
+        # Parsed from codes, so no node object is shared: the classes come
+        # from the codes alone.  build_universal(n) has 2n - 1 distinct
+        # subtrees and a jellyfish J(h, l) has h + l.
+        assert len(_classes(parse_code(build_universal(64).code))[0]) == 127
+        assert len(_classes(parse_code(jellyfish(h=4, ell=64).code))[0]) == 68
+
+    def test_deep_caterpillar(self):
+        reps, kids = _classes(parse_code(caterpillar(3000).code))
+        assert len(reps) == 3000 and kids[-1] == (0, 2998)
 
 
 class TestEnumeration:
