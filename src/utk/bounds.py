@@ -38,11 +38,12 @@ __all__ = [
 ]
 
 # Minimal universal sizes established by exhaustive search (the search module
-# reproduces these); n = 12 is only known to be bounded from above.
+# reproduces these; n = 12 in a long-run test).  Sizes known only from above
+# go in KNOWN_UPPER_BOUND; none is now.
 KNOWN_MIN_UNIVERSAL_SIZE = {
-    1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 9, 7: 10, 8: 14, 9: 16, 10: 19, 11: 21,
+    1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 9, 7: 10, 8: 14, 9: 16, 10: 19, 11: 21, 12: 28,
 }
-KNOWN_UPPER_BOUND = {12: 28}
+KNOWN_UPPER_BOUND: dict[int, int] = {}
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -143,9 +144,9 @@ def tangle_lower(n: int, t_n: int) -> int:
 def bound_table(n_max: int) -> list[dict]:
     """Rows n = 1..n_max with every bound that applies at that n.
 
-    Columns: n, u_known (None when unknown; for n = 12 the known upper bound
-    is reported in u_upper), naive_upper, quad_upper, chung_lower (only at
-    n = 2**k, k >= 2), kalmar.
+    Columns: n, u_known (None when unknown), u_upper (a known upper bound
+    where only that is known, else None), naive_upper, quad_upper,
+    chung_lower (only at n = 2**k, k >= 2), kalmar.
     """
     counts = _factorization_counts(max(n_max, 1))
     naive = _naive_values(n_max)

@@ -72,7 +72,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
 
 # ``enumerate --count`` counts without listing, in about min(d, n)·n²·log n
-# big-int steps: at this n, 0.03 s for d = 2 and 1.6 s for d >= n.
+# big-int steps: at this n, 0.03 s for d = 2 and 1.6 s for d >= n.  The
+# commands that list every shape up to n (``enumerate``, ``search``,
+# ``tangle-enumerate``) refuse a larger n before they start.
 MAX_COUNT_N = 100
 
 # ``build`` refuses a result with more white leaves than this (a tanglegram:
@@ -261,6 +263,8 @@ def _report_dict(report, timing: bool) -> dict:
 
 
 def _cmd_search(args) -> int:
+    if args.n > MAX_COUNT_N:
+        raise _CliError(f"search takes -n up to {MAX_COUNT_N}, got {args.n}")
     for name, value in (("--max-candidates", args.max_candidates),
                         ("--max-seconds", args.max_seconds)):
         if value is not None and not 0 < value < math.inf:  # nan fails both

@@ -25,13 +25,17 @@ is learned, one order per level shared by all its sweeps: it starts
 deepest pattern (caterpillars) first, and a target that empties a group's
 AND moves to the front, so the targets that fail are tried first.  The AND
 does not depend on the order, so results and budgets do not either.
-A sweep over size m is the only reader of its top layer (white layer m - 1;
-for redleaf searches red layer m - 1 and white layer m), so the engine
-stores only the layers below it and streams the top one: over each group
-of the top layer, the sweep reads the top layer's columns from that
-group's own kernel, on demand and never kept; which columns each target
-reads is decided once per sweep group.  A top layer is stored only when a
-later sweep needs it below its own top.
+A sweep over size m streams the two highest layers of each kind it reads
+(white layers m - 1 and m - 2; for redleaf searches red layers m - 1 and
+m - 2 and white layers m and m - 1) and stores only the layers below
+them.  Every group that reads a streamed layer pairs it with a one-host
+layer, so a target's column over that group is all ones or the OR of some
+of the streamed layer's columns; these are read, on demand and never
+kept, from the kernels of that layer's own groups, and where one of those
+pairs a one-host layer with a streamed layer in turn, the column sets
+compose and the walk goes one level down.  A streamed layer is stored
+when a later sweep needs it below its own two.  So the sweep over size 27,
+the last to decide u(12) = 28, stores white layers up to 24.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -237,14 +241,16 @@ class _Layer:
     Hosts come in groups, one per split (i, m - i), and ``offsets[k]`` is
     the index of group k's first host.  A stored layer has ``cols``:
     ``cols[p]`` is an int over the layer's hosts whose bit h is set when
-    pattern p embeds into host h.  A streamed layer has ``cols`` None, and
-    a sweep computes its columns group by group.
+    pattern p embeds into host h, for each of its ``n_patterns`` patterns
+    (a white layer has the white ones only).  A streamed layer has ``cols``
+    None, and a sweep computes its columns group by group.
     """
 
-    __slots__ = ("leaves", "size", "offsets", "groups", "cols", "ones")
+    __slots__ = ("leaves", "n_patterns", "size", "offsets", "groups", "cols", "ones")
 
-    def __init__(self, leaves: int, groups: list[_Group]):
+    def __init__(self, leaves: int, n_patterns: int, groups: list[_Group]):
         self.leaves = leaves
+        self.n_patterns = n_patterns
         self.offsets: list[int] = []
         size = 0
         for group in groups:
@@ -277,7 +283,7 @@ class _Layer:
 
 
 def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
-    layer = _Layer(1, [])
+    layer = _Layer(1, n_patterns, [])
     layer.size = 1
     cols = [0] * n_patterns
     cols[pid] = 1
@@ -293,6 +299,36 @@ class _PidBits:
 
     def __getitem__(self, q: int) -> int:
         return 1 << q
+
+
+class _Plan(dict):
+    """Per target p, the columns of a streamed layer whose OR is p's piece
+    over that layer, as a list, or None for all ones.  A plan is composed
+    from the plan one level up (``up``; None at the sweep group, where p
+    is its own column) and the symbolic kernel ``reads`` of the group that
+    leads down: the union of what ``reads`` names for p's columns up
+    there, all ones if one of them is.  It is composed only for the
+    targets an AND reaches, once each."""
+
+    __slots__ = ("up", "reads")
+
+    def __init__(self, up: _Plan | None, reads: Callable[[int], int]):
+        super().__init__()
+        self.up, self.reads = up, reads
+
+    def __missing__(self, p: int) -> list[int] | None:
+        qs = [p] if self.up is None else self.up[p]
+        cols = None
+        if qs is not None:
+            mask = 0
+            for q in qs:
+                if (got := self.reads(q)) < 0:
+                    break
+                mask |= got
+            else:
+                cols = _positions(mask, 0)
+        self[p] = cols
+        return cols
 
 
 def _all_of(piece: Callable[[int], int], order: list[int], ones: int) -> int:
@@ -360,14 +396,17 @@ class _BinaryEngine:
     are ANDed in ``orders[k]``, one order per level k shared by every sweep
     and group of the level: it starts as ``target_pids(k)``, deepest
     pattern first, and each target that empties an AND moves to its front
-    (``_all_of``).  Only the sweep reads its top layer (white m - 1;
-    redleaf: red m - 1 and white m), so a sweep stores the layers below it
-    and streams the top, which it pairs only with a one-host layer (white 1
-    or red 0).  There every factor from F is 0 or 1, so the sweep group's
-    kernel, run once over symbolic columns, names the columns of C that
-    each target ORs; over each group of the top layer they are read from
-    that inner group's kernel.  Stored and streamed groups follow the same
-    rule, and a nested stream would be one more inner kernel.
+    (``_all_of``).  A sweep streams the two highest layers of each kind
+    it reads (white m - 1 and m - 2; redleaf: red m - 1 and m - 2, white m
+    and m - 1) and stores the layers below.  Every group that reads a
+    streamed layer pairs it with a one-host layer (white 1 or 2, red 0 or
+    1), so every factor from F is 0 or 1, and the group's kernel, run over
+    symbolic columns, names the columns of C that each target ORs.  Over
+    each group of the streamed layer they are read from that inner group's
+    kernel.  Where the inner group's other part is streamed too, its kernel
+    is symbolic as well: the two column sets compose (``_Plan``), and the
+    walk reads them one level further down.  Stored and streamed groups
+    follow the same rule.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -399,61 +438,64 @@ class _BinaryEngine:
         # Per level k, the order in which sweeps AND the targets (see
         # ``_all_of``), shared by every sweep of the level.
         self.orders: dict[int, list[int]] = {}
+        # Each group's kernel, as the sweeps read it, until a layer is next
+        # stored (a kernel reads its parts' columns).
+        self.kernels: dict[_Group, Callable[[int], int]] = {}
         self.white_layers = {1: _leaf_layer(pid["o"], self.n_white)}
         self.red_layers = {0: _leaf_layer(pid["r"], len(patterns))} if redleaf else {}
 
     # -- layer construction ------------------------------------------------ #
 
     def ensure_white_layer(self, m: int, budget: _Budget | None = None) -> None:
-        self._store(self._layer(m, False, budget), self.n_white, budget)
+        self._store(self._layer(m, False, budget), budget)
 
     def ensure_red_layer(self, m: int, budget: _Budget | None = None) -> None:
-        self._store(self._layer(m, True, budget), len(self.patterns), budget)
+        self._store(self._layer(m, True, budget), budget)
 
     def _layer(self, m: int, red: bool, budget: _Budget | None) -> _Layer:
-        """Layer m, streamed unless it is already stored; the layers its
-        plan reads are stored first."""
+        """Layer m and its groups; it stays streamed until ``_store``
+        builds its columns."""
         layers = self.red_layers if red else self.white_layers
         if m not in layers:
             groups = range(m) if red else range(1, m // 2 + 1)
-            for i in groups:
-                if red:
-                    self.ensure_red_layer(i, budget)
-                else:
-                    self.ensure_white_layer(i, budget)
-                self.ensure_white_layer(m - i, budget)
-            layers[m] = _Layer(m + red, [self._group(m, i, red) for i in groups])
+            n_patterns = len(self.patterns) if red else self.n_white
+            layers[m] = _Layer(m + red, n_patterns, [self._group(m, i, red, budget) for i in groups])
         return layers[m]
 
-    def _group(self, m: int, i: int, red: bool) -> _Group:
-        """Group (i, m - i) of layer m.  The smaller part is fixed; on a size
-        tie the first part is.  A streamed part is never fixed: only a
-        sweep's top layer can be one, and the other part then has one
-        host."""
-        first = self.red_layers[i] if red else self.white_layers[i]
-        second = self.white_layers[m - i]
-        if first.cols is None or second.size < first.size:
-            return _Group(i, second, first, False, False)
-        return _Group(i, first, second, True, not red and 2 * i == m)
+    def _group(self, m: int, i: int, red: bool, budget: _Budget | None = None) -> _Group:
+        """Group (i, m - i) of layer m.  The smaller part is fixed, on a
+        size tie the first, and it is stored; the other part may be
+        streamed.  Where a sweep streams a part, the other part has one
+        host, so it is the fixed one."""
+        first = self._layer(i, red, budget)
+        second = self._layer(m - i, False, budget)
+        if second.size < first.size:
+            group = _Group(i, second, first, False, False)
+        else:
+            group = _Group(i, first, second, True, not red and 2 * i == m)
+        self._store(group.fixed, budget)
+        return group
 
-    def _store(self, layer: _Layer, n_patterns: int, budget: _Budget | None) -> None:
-        """Build a layer's columns from one kernel per group.  A pattern
-        with more leaves than the layer's hosts keeps a 0 column and is
-        never visited.  Each live pattern's column is chained from its
-        pieces, starting at the end with the shorter group, so the long
-        pieces at the other end are copied only once or twice; one column
-        is finished before the next begins, so the partial columns of all
-        patterns never grow side by side."""
+    def _store(self, layer: _Layer, budget: _Budget | None) -> None:
+        """Build a layer's columns from one kernel per group, once its parts
+        are stored.  A pattern with more leaves than the layer's hosts
+        keeps a 0 column and is never visited.  Each live pattern's column
+        is chained from its pieces, starting at the end with the shorter
+        group, so the long pieces at the other end are copied only once or
+        twice; one column is finished before the next begins, so the
+        partial columns of all patterns never grow side by side."""
         if layer.cols is not None:
             return
+        for group in layer.groups:
+            self._store(group.other, budget)
         timed = budget is not None and budget.limits.max_seconds is not None
         leaves = self.leaves
         groups = layer.groups
         forward = groups[0].size < groups[-1].size
         kernels = [(group.size, self._kernel(group, compact=True))
                    for group in (groups if forward else reversed(groups))]
-        cols = [0] * n_patterns
-        for p in range(n_patterns):
+        cols = [0] * layer.n_patterns
+        for p in range(layer.n_patterns):
             if leaves[p] > layer.leaves:
                 continue
             col = offset = 0
@@ -467,6 +509,7 @@ class _BinaryEngine:
                     col = col << width | piece(p)
             cols[p] = col
         layer.store(cols)
+        self.kernels.clear()
 
     def _kernel(self, group: _Group, compact: bool = False) -> Callable[[int], int]:
         """``piece(p)``: pattern p's column over the square of ``group`` by
@@ -560,23 +603,26 @@ class _BinaryEngine:
 
     def sweep(self, m: int, k: int, budget: _Budget) -> list[tuple[int, int, int]]:
         """Test every size-m candidate for k-universality; exhaustive.  The
-        layers below the top are stored first; the top layer is streamed
-        unless it is already stored."""
+        two highest layers of each kind the sweep reads (white m - 1 and
+        m - 2; redleaf: red m - 1 and m - 2, white m and m - 1) are
+        streamed unless they are already stored; the layers below them
+        are stored first."""
         if not self.redleaf and m == 1:
             budget.spend(1)
             return [(0, 0, 0)] if k == 1 else []
         if self.redleaf:
-            self._layer(m - 1, True, budget)
-            self._layer(m, False, budget)
+            self.ensure_red_layer(max(m - 3, 0), budget)
+            self.ensure_white_layer(max(m - 2, 1), budget)
         else:
-            self._layer(m - 1, False, budget)
+            self.ensure_white_layer(max(m - 3, 1), budget)
         order = self.orders.get(k)
         if order is None:
             order = self.orders[k] = self.target_pids(k)
         winners: list[tuple[int, int, int]] = []
-        for i in range(m) if self.redleaf else range(1, m // 2 + 1):
-            group = self._group(m, i, self.redleaf)
-            pairs = [divmod(pos, group.width) for pos in self._survivors(group, order, budget)]
+        for group in self._layer(m, self.redleaf, budget).groups:
+            i = group.i
+            hits = self._survivors(group, order, budget)
+            pairs = [divmod(pos, group.width) for pos in hits]
             if group.tie:
                 pairs = [(a, b) for a, b in pairs if b >= a]
             winners += [(i, a, b) if group.fixed_first else (i, b, a) for a, b in pairs]
@@ -591,33 +637,50 @@ class _BinaryEngine:
 
         A streamed other part is walked by its own groups, each inner
         group's hosts placed at its offset (a tie's trimmed to the kept
-        ones).  Which of C's columns a target reads is decided once, by the
-        sweep group's kernel (see ``_kernel``); over each inner group those
-        columns are read from the inner group's kernel and ORed."""
-        other = group.other
-        if other.cols is not None:
-            return _positions(_all_of(self._kernel(group), order, group.ones), 0)
-        reads = self._kernel(group)
-        plan = {p: None if (mask := reads(p)) < 0 else _positions(mask, 0) for p in order}
+        ones), and an inner group whose other part is streamed is walked
+        the same way, one level down.  Such a group has a one-host fixed
+        part, so its hosts are its other part's, and its kernel runs over
+        symbolic columns (see ``_kernel``).  Which columns of the layer
+        being walked a target ORs (its ``_Plan``) is composed from the
+        level above and that symbolic kernel; the innermost group's kernel
+        reads those columns, and its AND decides.  Each group's kernel is
+        built once and kept in ``self.kernels`` until a layer is next
+        stored."""
+        kernels = self.kernels
 
-        # ``piece`` and ``ones`` are those of the inner group the loop is at.
-        def through(p: int) -> int:
-            qs = plan[p]
-            if qs is None:
-                return ones
-            col = 0
-            for q in qs:
-                col |= piece(q)
-            return col
+        def kernel(g: _Group) -> Callable[[int], int]:
+            piece = kernels.get(g)
+            if piece is None:
+                piece = kernels[g] = self._kernel(g)
+            return piece
 
+        if group.other.cols is not None:
+            return _positions(_all_of(kernel(group), order, group.ones), 0)
         hits: list[int] = []
-        for offset, inner in zip(other.offsets, other.groups):
-            budget.check_time()
-            piece, ones = self._kernel(inner), inner.ones
-            acc = _all_of(through, order, ones)
-            if inner.tie:
-                acc = inner.triangle(acc)
-            hits += _positions(acc, offset)
+
+        def walk(layer: _Layer, plan: _Plan, base: int) -> None:
+            # ``piece`` and ``ones`` are those of the inner group the loop is at.
+            def through(p: int) -> int:
+                qs = plan[p]
+                if qs is None:
+                    return ones
+                col = 0
+                for q in qs:
+                    col |= piece(q)
+                return col
+
+            for offset, inner in zip(layer.offsets, layer.groups):
+                budget.check_time()
+                piece, ones = kernel(inner), inner.ones
+                if inner.other.cols is None:
+                    walk(inner.other, _Plan(plan, piece), base + offset)
+                    continue
+                acc = _all_of(through, order, ones)
+                if inner.tie:
+                    acc = inner.triangle(acc)
+                hits.extend(_positions(acc, base + offset))
+
+        walk(group.other, _Plan(None, kernel(group)), 0)
         return hits
 
     def _chunk_space(self, m: int, i: int, block: int = 8192) -> Iterator[int]:

@@ -126,6 +126,7 @@ class TestKalmar:
         for n in range(1, 11):
             assert kalmar(n) == KNOWN_MIN_UNIVERSAL_SIZE[n]
         assert kalmar(11) == 20 != KNOWN_MIN_UNIVERSAL_SIZE[11] == 21
+        assert kalmar(12) == 28 == KNOWN_MIN_UNIVERSAL_SIZE[12]
 
 
 class TestTangleLower:
@@ -148,12 +149,15 @@ class TestTangleLower:
 
 class TestBoundTable:
     def test_row_eleven(self):
-        rows = {row["n"]: row for row in bound_table(12)}
+        rows = {row["n"]: row for row in bound_table(13)}
         assert rows[11]["u_known"] == 21
         assert rows[11]["kalmar"] == 20
-        assert rows[12]["u_known"] is None
-        assert rows[12]["u_upper"] == KNOWN_UPPER_BOUND[12]
+        # u(12) = 28: the long-run sweeps in test_search.py and the witness.
+        assert rows[12]["u_known"] == 28
         assert rows[12]["kalmar"] == 28
+        assert rows[13]["u_known"] is None
+        assert KNOWN_UPPER_BOUND == {}
+        assert all(row["u_upper"] is None for row in rows.values())
 
     def test_chung_only_at_powers_of_two(self):
         rows = bound_table(16)

@@ -262,6 +262,8 @@ class TestBounds:
         _, out, _ = run_cli(capsys, "bounds", "--to", "12")
         row11 = [line for line in out.splitlines() if line.split()[0] == "11"][0]
         assert row11.split() == ["11", "21", "37", "81", "-", "20"]
+        row12 = out.splitlines()[-1]
+        assert row12.split() == ["12", "28", "47", "96", "-", "28"]
 
     def test_csv(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--to", "4", "--format", "csv")

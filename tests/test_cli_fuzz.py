@@ -69,6 +69,7 @@ def test_every_input_ends_in_a_documented_exit(capsys, argv):
     *(("build", "-n", HUGE, "--kind", kind) for kind in BUILD_KINDS),
     ("build", "-n", "2000"),
     ("enumerate", "-n", HUGE),
+    ("search", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE, "--count"),
 ], ids=lambda argv: " ".join(argv)[:60])

@@ -1,8 +1,10 @@
 import json
+import os
 import pathlib
 
 import pytest
 
+from utk.bounds import KNOWN_MIN_UNIVERSAL_SIZE
 from utk.embedding import is_induced_subtree
 from utk.search import (
     SearchLimits,
@@ -339,8 +341,9 @@ def _chain_sweeps(u_values: list[int], max_m: int) -> list[tuple[int, int]]:
 
 
 class TestStreamedTopLayer:
-    # A sweep streams its top layer unless that layer is already stored;
-    # both routes must find the same winners and spend the same budget.
+    # A sweep streams the two highest layers of each kind it reads unless
+    # they are already stored; both routes must find the same winners and
+    # spend the same budget.
 
     @staticmethod
     def _winners(engine, m, k):
@@ -372,6 +375,10 @@ class TestStreamedTopLayer:
         if m >= 3 or streamed.redleaf and m >= 2:
             assert any(was_streamed for _, was_streamed in by_stream), (m, k)
 
+    @staticmethod
+    def _stored(layers):
+        return {m for m, layer in layers.items() if layer.cols is not None}
+
     def test_white_sweeps_agree(self):
         from utk.search import _BinaryEngine
 
@@ -383,9 +390,9 @@ class TestStreamedTopLayer:
             stored.ensure_white_layer(max(m - 1, 1))
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
             self._survivors_agree(streamed, stored, m, k)
-            if m >= 3:
-                assert streamed.white_layers[m - 1].cols is None
-                assert streamed.white_layers[m - 2].cols is not None
+            if m >= 5:  # below, white 2 is a one-host fixed part and stored
+                assert self._stored(streamed.white_layers) == set(range(1, m - 2)), (m, k)
+                assert {m - 1, m - 2} <= set(streamed.white_layers)
 
     def test_redleaf_sweeps_agree(self):
         from utk.search import _BinaryEngine
@@ -399,11 +406,42 @@ class TestStreamedTopLayer:
             stored.ensure_white_layer(m)
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
             self._survivors_agree(streamed, stored, m, k)
-            if m >= 2:
-                assert streamed.red_layers[m - 1].cols is None
-                assert streamed.white_layers[m].cols is None
-                assert streamed.red_layers[m - 2].cols is not None
-                assert streamed.white_layers[m - 1].cols is not None
+            if m >= 4:  # below, red 1 or white 2 is a one-host fixed part and stored
+                assert self._stored(streamed.red_layers) == set(range(0, m - 2)), (m, k)
+                assert self._stored(streamed.white_layers) == set(range(1, m - 1)), (m, k)
+                assert {m - 1, m - 2} <= set(streamed.red_layers)
+                assert {m, m - 1} <= set(streamed.white_layers)
+
+    def _chain_agrees(self, make_engine, sweeps, layers):
+        # One engine through a chain's sweeps: the layers a sweep streams
+        # are stored by later ones, and every sweep must still agree with
+        # an engine that stores every layer it reads.
+        engine = make_engine()
+        streamed_then_stored = set()
+        for m, k in sweeps:
+            before = {j for j, layer in layers(engine).items() if layer.cols is None}
+            stored = make_engine()
+            if stored.redleaf:
+                stored.ensure_red_layer(max(m - 1, 0))
+            stored.ensure_white_layer(max(m - 1 + stored.redleaf, 1))
+            assert self._winners(engine, m, k) == self._winners(stored, m, k), (m, k)
+            self._survivors_agree(engine, stored, m, k)
+            streamed_then_stored |= before & self._stored(layers(engine))
+        assert len(streamed_then_stored) >= 5, streamed_then_stored
+
+    def test_white_chain_stores_what_it_streamed(self):
+        from utk.search import _BinaryEngine
+
+        self._chain_agrees(lambda: _BinaryEngine(9, redleaf=False),
+                           _chain_sweeps([1, 2, 3, 5, 6, 9, 10, 14, 16], 16),
+                           lambda engine: engine.white_layers)
+
+    def test_redleaf_chain_stores_what_it_streamed(self):
+        from utk.search import _BinaryEngine
+
+        self._chain_agrees(lambda: _BinaryEngine(5, redleaf=True),
+                           _chain_sweeps([1, 3, 5, 9, 12], 12),
+                           lambda engine: engine.red_layers)
 
     def _orders_agree(self, make_engine, sweeps):
         # The AND does not depend on the order of its targets: starting each
@@ -447,26 +485,31 @@ class TestStreamedTopLayer:
         self._orders_agree(lambda: _BinaryEngine(5, redleaf=True), sweeps)
 
     def test_learned_order_cuts_target_pieces(self, monkeypatch):
-        # Target pieces the sweeps of the n = 10 chain evaluate: 2,978 in
-        # the fixed deepest-first order, 1,955 with the learned one.  The
-        # count depends on nothing but the sweeps, so it repeats exactly.
+        # Target pieces the sweeps of the n = 10 chain evaluate, one AND per
+        # innermost group: 4,832 in the fixed deepest-first order (each AND
+        # gets a copy of the seed, so nothing is learned), 2,822 with the
+        # learned one.  The counts depend on nothing but the sweeps, so they
+        # repeat exactly.
         import utk.search
 
         all_of = utk.search._all_of
         counts = []
 
-        def counting(piece, order, ones):
-            def counted(p):
-                counts[-1] += 1
-                return piece(p)
+        def counting(learn):
+            def run(piece, order, ones):
+                def counted(p):
+                    counts[-1] += 1
+                    return piece(p)
 
-            return all_of(counted, order, ones)
+                return all_of(counted, order if learn else list(order), ones)
 
-        monkeypatch.setattr(utk.search, "_all_of", counting)
-        for _ in range(2):
+            return run
+
+        for learn in (False, True, True):
             counts.append(0)
+            monkeypatch.setattr(utk.search, "_all_of", counting(learn))
             find_min_universal_chain(10)
-        assert counts[0] == counts[1] <= 2300, counts
+        assert counts == [4832, 2822, 2822], counts
 
     def test_top_layer_is_not_stored(self):
         from utk.search import _BinaryEngine, _Budget
@@ -475,7 +518,8 @@ class TestStreamedTopLayer:
         codes = engine.minimal_codes(19, 10, _Budget(None))
         assert tuple(sorted(codes)) == catalog_fixture("universal_catalog_n10.codes")
         assert engine.white_layers[18].cols is None
-        assert engine.white_layers[17].cols is not None
+        assert engine.white_layers[17].cols is None
+        assert engine.white_layers[16].cols is not None
 
 
 class TestRedleafSearch:
@@ -618,6 +662,25 @@ class TestTwelveBound:
         witness = parse_code(code)
         assert witness.white_leaves <= 28
         assert is_universal(witness, 12)
+
+
+@pytest.mark.long_run
+@pytest.mark.skipif(os.environ.get("UTK_LONG_RUN") != "1",
+                    reason="about 15 s and 1.7 GB; set UTK_LONG_RUN=1 to run")
+class TestTwelveDecided:
+    def test_no_shape_below_28_is_12_universal(self):
+        # u(12) >= u(11) = 21, so level 12 sweeps from 21.  Every sweep up
+        # to 27 comes out empty, so with the 28-leaf witness above,
+        # u(12) = 28.  The m = 27 sweep stores white layer 24 and streams
+        # 26 and 25.
+        from utk.search import _BinaryEngine, _Budget
+
+        engine = _BinaryEngine(12, redleaf=False)
+        budget = _Budget(None)
+        for m in range(21, 28):
+            assert engine.sweep(m, 12, budget) == [], m
+        assert budget.examined == 187_899_561
+        assert KNOWN_MIN_UNIVERSAL_SIZE[12] == 28
 
 
 class TestLongRun:
