@@ -57,6 +57,7 @@ from utk.shapes import (
     parse_newick,
     to_dot,
     to_newick,
+    _size_counts,
 )
 from utk.tanglegrams import (
     enumerate_tanglegrams,
@@ -76,6 +77,13 @@ EXIT_RESOURCE_LIMIT = 3
 # commands that list every shape up to n (``enumerate``, ``search``,
 # ``tangle-enumerate``) refuse a larger n before they start.
 MAX_COUNT_N = 100
+
+# ``search`` holds every shape of 1..n white leaves (with ``--redleaf`` also
+# every redleaf shape of 0..n) and listing ``enumerate`` every shape of n,
+# about 300 bytes each, so they refuse to list more shapes than this.  At
+# the cap that is about a gigabyte and a minute; ``search -n 22`` lists
+# 2,761,397 shapes and ``-n 23`` 6,387,546.
+MAX_LISTED_SHAPES = 3_000_000
 
 # ``build`` refuses a result with more white leaves than this (a tanglegram:
 # more leaves a side).  At -n 512 the universal shape has 174,763 white
@@ -122,6 +130,13 @@ def _parse_shape(text: str, arity: int) -> Shape:
         raise _CliError(f"cannot parse shape: {exc}") from exc
 
 
+def _refuse_long_listing(command: str, n: int, total: int) -> None:
+    """Usage error if ``command`` would list more than the cap of shapes."""
+    if total > MAX_LISTED_SHAPES:
+        raise _CliError(f"{command} -n {n} would list {total:,} shapes, "
+                        f"more than {MAX_LISTED_SHAPES:,}")
+
+
 def _dump(data: dict | list) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
@@ -138,6 +153,7 @@ def _cmd_enumerate(args) -> int:
     if args.count:
         shapes, count = [], count_shapes(args.n, args.d, args.redleaf)
     else:
+        _refuse_long_listing("enumerate", args.n, count_shapes(args.n, args.d, args.redleaf))
         shapes = list(enumerate_shapes(args.n, args.d, args.redleaf))
         count = len(shapes)
     if args.format == "json":
@@ -265,6 +281,10 @@ def _report_dict(report, timing: bool) -> dict:
 def _cmd_search(args) -> int:
     if args.n > MAX_COUNT_N:
         raise _CliError(f"search takes -n up to {MAX_COUNT_N}, got {args.n}")
+    if args.n >= 1 and args.d >= 2:  # else the search itself says what is wrong
+        kinds = (False, True) if args.redleaf else (False,)
+        _refuse_long_listing("search", args.n,
+                             sum(sum(_size_counts(args.n, args.d, red)) for red in kinds))
     for name, value in (("--max-candidates", args.max_candidates),
                         ("--max-seconds", args.max_seconds)):
         if value is not None and not 0 < value < math.inf:  # nan fails both

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from utk.shapes import Shape, caterpillar, graft, join, make_leaf
+from utk.shapes import Shape, _postorder, caterpillar, graft, join, make_leaf
 from utk.tanglegrams import Tanglegram
 
 __all__ = [
@@ -247,6 +247,12 @@ def build_universal_tanglegram(n: int, universal: Shape | None = None,
     caterpillar) hanging off every leaf; each left small tree sends exactly
     one matching edge into each right small tree.  Works for d-ary trees the
     same way (pass a d-ary ``universal`` or set ``d``).
+
+    The blown-up tree is made once per node object of ``universal``, over
+    its postorder, and every leaf becomes the one caterpillar object.  So
+    when ``universal`` has one object per distinct subtree (a parsed one,
+    say), so does the result, and the passes over its postorder run once
+    per distinct subtree.
     """
     if universal is None:
         universal = build_universal(n, d)
@@ -254,13 +260,12 @@ def build_universal_tanglegram(n: int, universal: Shape | None = None,
         raise ValueError("need a white universal shape")
     u = universal.white_leaves
     small = caterpillar(u, universal.arity)
-
-    def inflate(node: Shape) -> Shape:
-        if node.is_leaf:
-            return small
-        return join([inflate(kid) for kid in node.children], arity=node.arity)
-
-    tree = inflate(universal)
+    _, kids = _postorder(universal)
+    blown: list[Shape] = []  # per postorder node of universal
+    for node_kids in kids:
+        blown.append(join([blown[k] for k in node_kids], arity=universal.arity)
+                     if node_kids else small)
+    tree = blown[-1]
     # Left block i's j-th leaf pairs with right block j's i-th leaf.  Each
     # small tree's leaves occupy one contiguous block of u positions.
     matching = tuple((p % u) * u + p // u for p in range(u * u))

@@ -14,20 +14,24 @@ with up to 4 children the assignment is tried exhaustively; beyond that a
 maximum-bipartite-matching feasibility check is used.
 
 ``embeds_all`` runs the program for many patterns against one host and
-builds the host's postorder once.  The postorder view is iterative, but the
-program itself recurses once per level of the host and the pattern: a host
-about 330 levels deep or more (``caterpillar(332)``) exceeds Python's
-default recursion limit, and ``utk check`` on it ends in exit 3.
+builds the host's postorder once.  The postorder view (``shapes._postorder``)
+lists each node object once, and a parsed shape has one object per
+distinct subtree, so on parsed shapes the program's table is indexed by
+(distinct pattern subtree, distinct host subtree).  The view is iterative,
+but the program itself recurses once per level of the host and the
+pattern: a host about 330 levels deep or more (``caterpillar(332)``)
+exceeds Python's default recursion limit, and ``utk check`` on it ends in
+exit 3.
 
 ``mast`` computes the number of leaves of a maximum agreement subtree of two
 white binary shapes with the analogous two-sided dynamic program.  Its
-table has one row per distinct subtree of the first shape and one column
-per distinct subtree of the second (the class view ``shapes._classes``),
-since equal subtrees agree alike; it is filled bottom-up without recursion.
-The cost is the product of the two counts of distinct subtrees, not of
-nodes: a parsed ``build_universal(n)`` has 2n - 1 of them and a jellyfish
-J(h, l) has h + l, so MAST of the recursive constructions and of large
-jellyfish is fast; a caterpillar of n leaves still has n.
+table has one row per postorder entry of the first shape and one column per
+postorder entry of the second, filled bottom-up without recursion.  On
+shapes with one object per distinct subtree the cost is the product of the
+two counts of distinct subtrees, not of nodes: a parsed
+``build_universal(n)`` has 2n - 1 of them and a jellyfish J(h, l) has
+h + l, so MAST of the recursive constructions and of large jellyfish is
+fast; a caterpillar of n leaves still has n.
 ``jellyfish_mast`` evaluates the closed form the agreement size takes on
 the jellyfish family.
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from utk.shapes import JellyfishSpec, Shape, _classes, _postorder
+from utk.shapes import JellyfishSpec, Shape, _postorder
 
 __all__ = ["is_induced_subtree", "embeds_all", "mast", "jellyfish_mast"]
 
@@ -129,19 +133,19 @@ def _embeds(pattern: Shape, hnodes: list[Shape], h_kids: list[list[int]]) -> boo
 def mast(t1: Shape, t2: Shape) -> int:
     """Leaf count of a maximum agreement subtree of two white binary shapes.
 
-    The table is indexed by distinct subtree (class) on each side, so it
-    has as many cells as the product of the two shapes' counts of distinct
-    subtrees."""
+    The table is indexed by postorder entry on each side, so on shapes
+    with one object per distinct subtree it has as many cells as the
+    product of their counts of distinct subtrees."""
     for t in (t1, t2):
         if t.has_red:
             raise ValueError("mast is defined for white-only shapes")
         if t.arity != 2:
             raise ValueError("mast is defined for binary shapes")
 
-    _, kids1 = _classes(t1)
-    _, kids2 = _classes(t2)
-    # rows[i][j]: agreement size of class i of t1 and class j of t2, filled
-    # bottom-up over both class views, so children come before parents.
+    _, kids1 = _postorder(t1)
+    _, kids2 = _postorder(t2)
+    # rows[i][j]: agreement size of node i of t1 and node j of t2, filled
+    # bottom-up over both postorders, so children come before parents.
     inner2 = [(j, *kids) for j, kids in enumerate(kids2) if kids]
     leaf_row = [1] * len(kids2)
     rows: list[list[int]] = []

@@ -5,7 +5,12 @@ internal vertex has between 2 and ``d`` children (``d = 2`` gives the binary
 case), every leaf is white except for at most one distinguished red leaf, and
 children are unordered.  Shapes are value objects: children are stored sorted
 by canonical code, so two shapes are isomorphic exactly when their codes are
-equal, and ``==`` tests isomorphism.
+equal, and ``==`` tests isomorphism.  Being immutable, one object can stand
+for a subtree wherever it occurs: :func:`parse_code` (and so
+:func:`parse_newick`) returns one object per distinct subtree of the text,
+and :func:`caterpillar`, :func:`complete_tree` and :func:`jellyfish` reuse
+the parts they repeat.  A parsed ``build_universal(256)`` code is 511
+objects, not 87,381 nodes.
 
 Canonical code format
 ---------------------
@@ -23,12 +28,20 @@ Deep trees
 No pass in this module recurses over a tree: the parsers, the leaf colors
 and induced subtrees scan the code left to right; DOT export, the postorder
 view (``_postorder``) and ``graft``/``replace_subtree`` keep their own
-stacks or paths; the class view (``_classes``: one entry per distinct
-subtree, the view MAST runs over) is one loop over the postorder; Newick
-export rewrites the code.  So a tree of any depth parses and prints.  The
-containment dynamic program in :mod:`utk.embedding` still recurses, so
-checking a host about 330 levels deep or more (``utk check``) ends in
-exit 3.
+stacks or paths; Newick export rewrites the code.  So a tree of any depth
+parses and prints.  The containment dynamic program in :mod:`utk.embedding`
+still recurses, so checking a host about 330 levels deep or more
+(``utk check``) ends in exit 3.
+
+Shared subtrees
+---------------
+The postorder view lists each object once, however many parents share it.
+On a shape with one object per distinct subtree it is therefore the class
+view, one entry per distinct subtree, and the passes that run over it (the
+containment and MAST dynamic programs of :mod:`utk.embedding`,
+``tanglegrams.leaf_automorphisms``) do their work once per distinct
+subtree.  DOT export, Newick export and the code scans see every position,
+so sharing changes no output.
 """
 
 from __future__ import annotations
@@ -223,9 +236,9 @@ def caterpillar(n: int, arity: int = 2) -> Shape:
     """The rooted caterpillar with ``n`` white leaves (height ``n - 1``)."""
     if n < 1:
         raise ValueError("caterpillar needs n >= 1")
-    shape = make_leaf("white", arity)
+    leaf = shape = make_leaf("white", arity)
     for _ in range(n - 1):
-        shape = join([make_leaf("white", arity), shape])
+        shape = join([leaf, shape])
     return shape
 
 
@@ -261,12 +274,14 @@ def jellyfish(spec: JellyfishSpec | None = None, h: int | None = None,
 
 def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
     """Postorder node list plus the children's indices per node: the tree
-    view that the embedding dynamic program and
+    view that the embedding and MAST dynamic programs and
     ``tanglegrams.leaf_automorphisms`` run over.
 
     A node object shared by several parents is listed once, so those passes
-    handle it once.  The walk keeps its own stack, so a deep tree does not
-    reach Python's recursion limit.
+    handle it once; for a shape with one object per distinct subtree (a
+    parsed one, say) the list has one entry per distinct subtree.  The walk
+    keeps its own stack, so a deep tree does not reach Python's recursion
+    limit.
     """
     nodes: list[Shape] = []
     kids: list[list[int]] = []
@@ -293,32 +308,6 @@ def _postorder(shape: Shape) -> tuple[list[Shape], list[list[int]]]:
     return nodes, kids
 
 
-def _classes(shape: Shape) -> tuple[list[Shape], list[tuple[int, ...]]]:
-    """The class view: one entry per distinct subtree (canonical code) of
-    ``shape``, children first and the root last, as a representative node
-    plus its children's class ids (``()`` for a leaf).  The view the MAST
-    dynamic program runs over.
-
-    Built in one pass over ``_postorder``'s output.  Children are stored in
-    canonical order, so two inner nodes have the same code exactly when
-    their children's class ids agree in order; a leaf is keyed by its code.
-    No code longer than one character is compared.
-    """
-    nodes, kids = _postorder(shape)
-    reps: list[Shape] = []
-    class_kids: list[tuple[int, ...]] = []
-    ids: dict[object, int] = {}
-    class_of: list[int] = []  # per postorder node
-    for node, node_kids in zip(nodes, kids):
-        key = tuple([class_of[k] for k in node_kids]) if node_kids else node.code
-        c = ids.setdefault(key, len(reps))
-        if c == len(reps):
-            reps.append(node)
-            class_kids.append(key if node_kids else ())
-        class_of.append(c)
-    return reps, class_kids
-
-
 def leaf_colors(shape: Shape) -> list[bool]:
     """Per-leaf red flags, in canonical (code) order of the leaves."""
     return [ch == "r" for ch in shape.code if ch in "or"]
@@ -335,11 +324,17 @@ def parse_code(text: str, arity: int = 2) -> Shape:
     Rejects malformed text, more than one red leaf, and internal vertices
     with fewer than 2 or more than ``arity`` children.  One left-to-right
     loop over a stack of open child lists, so no depth limit.
+
+    Repeated subtrees come out as one shared object: a table kept for this
+    parse alone maps a leaf's character, and an inner vertex's sorted child
+    identities, to the node made for them first.  Children are shared
+    already, so two isomorphic vertices have the same key.
     """
     text = text.strip()
     bad = _NOT_CODE.search(text)
     if bad:
         raise ValueError(f"unexpected character {bad[0]!r} at position {bad.start()}")
+    made: dict[object, Shape] = {}  # one node per distinct subtree of this text
     kids: list[Shape] = []  # children met so far of the innermost open vertex
     stack: list[list[Shape]] = []  # the child lists of its open ancestors
     for ch in text:
@@ -351,11 +346,17 @@ def parse_code(text: str, arity: int = 2) -> Shape:
                 raise ValueError("unbalanced ')' in code")
             if not kids:
                 raise ValueError(f"internal vertex needs 2..{arity} children, got 0")
-            node = Shape(kids, False, arity)
+            key = tuple(sorted(map(id, kids)))
+            node = made.get(key)
+            if node is None:
+                node = made[key] = Shape(kids, False, arity)
             kids = stack.pop()
             kids.append(node)
         else:
-            kids.append(Shape((), ch == "r", arity))
+            node = made.get(ch)
+            if node is None:
+                node = made[ch] = Shape((), ch == "r", arity)
+            kids.append(node)
     if stack:
         raise ValueError("unbalanced '(' in code")
     if not kids:
@@ -530,14 +531,20 @@ def count_shapes(n: int, arity: int = 2, redleaf: bool = False) -> int:
         raise ValueError("need n >= 0 for redleaf shapes")
     if not redleaf and n < 1:
         raise ValueError("need n >= 1 white leaves")
+    return _size_counts(n, arity, redleaf)[n]
+
+
+def _size_counts(n: int, arity: int, redleaf: bool) -> list[int]:
+    """``count_shapes(m, arity, redleaf)`` for every m = 0..n in one pass
+    (0 for the white m = 0)."""
     white, forests = _forest_counts(n, arity)
     if not redleaf:
-        return white[n]
+        return white
     red = [1]
     for m in range(1, n + 1):
         red.append(sum(red[i] * sum(row[m - i] for row in forests[1:arity])
                        for i in range(m)))
-    return red[n]
+    return red
 
 
 def _forest_counts(n: int, arity: int) -> tuple[list[int], list[list[int]]]:

@@ -148,3 +148,39 @@ def wedderburn(n: int) -> int:
 def all_shapes_upto(n: int, arity: int = 2, redleaf: bool = False) -> list[Shape]:
     lo = 0 if redleaf else 1
     return [s for m in range(lo, n + 1) for s in enumerate_shapes(m, arity, redleaf)]
+
+
+def lca_depth_matrix(shape, perm=None):
+    """Pairwise leaf LCA depths; a leaf permutation is induced by a tree
+    automorphism iff it preserves this matrix."""
+    paths = []
+
+    def walk(node, path):
+        if node.is_leaf:
+            paths.append(path)
+        for idx, kid in enumerate(node.children):
+            walk(kid, path + (idx,))
+
+    walk(shape, ())
+    n = len(paths)
+    if perm is None:
+        perm = range(n)
+    mat = {}
+    for i in range(n):
+        for j in range(n):
+            a, b = paths[perm[i]], paths[perm[j]]
+            depth = 0
+            while depth < min(len(a), len(b)) and a[depth] == b[depth]:
+                depth += 1
+            mat[i, j] = depth
+    return mat
+
+
+def brute_leaf_automorphisms(shape):
+    base = lca_depth_matrix(shape)
+    n = shape.leaf_count
+    return {
+        perm
+        for perm in itertools.permutations(range(n))
+        if lca_depth_matrix(shape, perm) == base
+    }

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from utk.cli import main
+from utk.cli import MAX_LISTED_SHAPES, main
 from utk.shapes import caterpillar, parse_code
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -35,6 +35,18 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "-n", "101", "--count")
         assert (code, out) == (2, "")
         assert err == "utk: --count takes -n up to 100, got 101\n"
+
+    def test_too_many_shapes_to_list_is_refused_up_front(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "enumerate", "-n", "40")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("utk: enumerate -n 40 would list 8,099,766,813,570 shapes, "
+                       f"more than {MAX_LISTED_SHAPES:,}\n")
+        # The 1,563,372 shapes of 22 leaves are under the cap, the 3,626,149
+        # of 23 are not; counting them is still allowed.
+        assert run_cli(capsys, "enumerate", "-n", "23")[0] == 2
+        assert run_cli(capsys, "enumerate", "-n", "23", "--count")[:2] == (0, "3626149\n")
 
     def test_4ary_count(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-d", "4", "--count")
@@ -224,6 +236,20 @@ class TestSearch:
         assert time.monotonic() - start < 20
         assert code == 3
         assert "PARTIAL RESULT: stopped at level 1: time limit 0.5s exceeded" in out
+
+    def test_too_many_patterns_is_refused_up_front(self, capsys):
+        # Every shape of 1..40 leaves would be held at once.
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "search", "-n", "40")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("utk: search -n 40 would list 13,936,052,254,975 shapes, "
+                       f"more than {MAX_LISTED_SHAPES:,}\n")
+        # Shapes of 1..23 leaves are too many, and with --redleaf (the
+        # redleaf shapes of 0..n on top) those of 1..19 are.
+        for argv in (("-n", "23"), ("-n", "19", "--redleaf")):
+            code, out, err = run_cli(capsys, "search", *argv)
+            assert (code, out) == (2, "") and "would list" in err
 
     def test_timing_flag_adds_wall_time(self, capsys):
         _, out, _ = run_cli(capsys, "search", "-n", "4", "--json", "--timing")

@@ -33,7 +33,7 @@ from utk.shapes import (
     subtree_at,
     to_dot,
     to_newick,
-    _classes,
+    _postorder,
 )
 
 
@@ -156,9 +156,11 @@ class TestClassView:
         return codes
 
     def test_one_class_per_distinct_subtree(self):
+        # A parsed shape has one object per distinct subtree, so its
+        # postorder is the class view.
         shapes = all_shapes_upto(7) + all_shapes_upto(5, redleaf=True) + all_shapes_upto(5, arity=3)
         for shape in shapes:
-            reps, kids = _classes(parse_code(shape.code, shape.arity))
+            reps, kids = _postorder(parse_code(shape.code, shape.arity))
             codes = [rep.code for rep in reps]
             assert len(set(codes)) == len(codes)
             assert set(codes) == self.subtree_codes(shape)
@@ -168,20 +170,20 @@ class TestClassView:
                 assert [reps[k].code for k in rep_kids] == [kid.code for kid in rep.children]
 
     def test_red_and_white_leaves_are_distinct_classes(self):
-        reps, kids = _classes(parse_code("(o(or))"))
+        reps, kids = _postorder(parse_code("(o(or))"))
         assert [rep.code for rep in reps] == ["o", "r", "(or)", "(o(or))"]
-        assert kids == [(), (), (0, 1), (0, 2)]
+        assert kids == [[], [], [0, 1], [0, 2]]
 
     def test_recursive_constructions_and_jellyfish(self):
-        # Parsed from codes, so no node object is shared: the classes come
-        # from the codes alone.  build_universal(n) has 2n - 1 distinct
-        # subtrees and a jellyfish J(h, l) has h + l.
-        assert len(_classes(parse_code(build_universal(64).code))[0]) == 127
-        assert len(_classes(parse_code(jellyfish(h=4, ell=64).code))[0]) == 68
+        # Parsed from codes, so the sharing comes from the parser alone.
+        # build_universal(n) has 2n - 1 distinct subtrees and a jellyfish
+        # J(h, l) has h + l.
+        assert len(_postorder(parse_code(build_universal(64).code))[0]) == 127
+        assert len(_postorder(parse_code(jellyfish(h=4, ell=64).code))[0]) == 68
 
     def test_deep_caterpillar(self):
-        reps, kids = _classes(parse_code(caterpillar(3000).code))
-        assert len(reps) == 3000 and kids[-1] == (0, 2998)
+        reps, kids = _postorder(parse_code(caterpillar(3000).code))
+        assert len(reps) == 3000 and kids[-1] == [0, 2998]
 
 
 class TestEnumeration:

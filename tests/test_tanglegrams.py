@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import brute_leaf_automorphisms, lca_depth_matrix
 from utk.shapes import caterpillar, complete_tree, enumerate_shapes, join, make_leaf
 from utk.tanglegrams import (
     _CODE_BY_KEY,
@@ -25,42 +26,6 @@ from utk.tanglegrams import (
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
-
-
-def lca_depth_matrix(shape, perm=None):
-    """Pairwise leaf LCA depths; a leaf permutation is induced by a tree
-    automorphism iff it preserves this matrix."""
-    paths = []
-
-    def walk(node, path):
-        if node.is_leaf:
-            paths.append(path)
-        for idx, kid in enumerate(node.children):
-            walk(kid, path + (idx,))
-
-    walk(shape, ())
-    n = len(paths)
-    if perm is None:
-        perm = range(n)
-    mat = {}
-    for i in range(n):
-        for j in range(n):
-            a, b = paths[perm[i]], paths[perm[j]]
-            depth = 0
-            while depth < min(len(a), len(b)) and a[depth] == b[depth]:
-                depth += 1
-            mat[i, j] = depth
-    return mat
-
-
-def brute_leaf_automorphisms(shape):
-    base = lca_depth_matrix(shape)
-    n = shape.leaf_count
-    return {
-        perm
-        for perm in itertools.permutations(range(n))
-        if lca_depth_matrix(shape, perm) == base
-    }
 
 
 def oracle_isomorphic(t1: Tanglegram, t2: Tanglegram) -> bool:
