@@ -167,10 +167,10 @@ def _build(n: int, d: int, redleaf: bool, parts: PartSource | None,
         shape, rule = injected, "injected-part"
     elif n == 1:
         rule = "base"
+        # Both base cases share one white leaf per memo, keyed by its code.
+        shape = memo.setdefault("o", make_leaf("white", d))
         if redleaf:
-            shape = join([make_leaf("white", d), make_leaf("red", d)], arity=d)
-        else:
-            shape = make_leaf("white", d)
+            shape = join([shape, make_leaf("red", d)], arity=d)
     else:
         half = n // 2
         if redleaf:
@@ -220,12 +220,11 @@ def build_redleaf_comb(k: int, d: int = 2,
     if k < 0:
         raise ValueError("need k >= 0")
     if universal_source is None:
-        cache: dict[int, Shape] = {}
+        # One memo for the whole comb, so its parts share their subtrees.
+        memo: dict = {}
 
-        def universal_source(m: int, _d=d, _cache=cache) -> Shape:
-            if m not in _cache:
-                _cache[m] = build_universal(m, _d)
-            return _cache[m]
+        def universal_source(m: int) -> Shape:
+            return _build(m, d, False, None, memo)[0]
 
     tail = make_leaf("red", d)
     for size in reversed(svec(k)):

@@ -10,15 +10,18 @@ shapes.  The binary searches run on a dedicated engine that never
 materializes candidate trees: every shape of a given size is a root over an
 unordered pair of smaller shapes, so the engine builds layers of shapes by
 size as pairs over smaller layers.  A layer is stored by column: for each
-pattern (every shape of size <= n) one integer whose bit h says whether
-the pattern embeds into the layer's host h.  A pattern embeds into a root
-over two parts when it embeds into one part or its own root split lands in
-the two parts, so over a group of hosts (the roots over one host each of
-two given layers) its column is an OR of at most four products of whole
-columns.  That rule lives in one place, a kernel per group that gives one
-pattern's column over the group and does only the work that can be
-nonzero: a pattern with more leaves than a part skips that part's terms,
-and one with more leaves than the hosts is never visited.  Layer builds
+pattern of its own color (every white, or every red, shape of size <= n)
+one integer whose bit h says whether the pattern embeds into the layer's
+host h.  A pattern embeds into a root over two parts when it embeds into
+one part or its own root split lands in the two parts, so over a group of
+hosts (the roots over one host each of two given layers) its column is an
+OR of at most four products of whole columns.  A red pattern lies in the
+red part or splits into a red child there and a white child in the white
+part, so only red columns of a red layer are ever read, and a red layer
+holds no others.  That rule lives in one place, a kernel per group that
+gives one pattern's column over the group and does only the work that
+can be nonzero: a pattern with more leaves than a part skips that part's
+terms, and one with more leaves than the hosts is never visited.  Layer builds
 and candidate sweeps both call it.  A sweep ANDs the target patterns'
 group columns and stops at the first empty result.  The order of the AND
 is learned, one order per level shared by all its sweeps: it starts
@@ -239,18 +242,21 @@ class _Layer:
 
     Every host has ``leaves`` leaves (white layer m: m; red layer m: m + 1).
     Hosts come in groups, one per split (i, m - i), and ``offsets[k]`` is
-    the index of group k's first host.  A stored layer has ``cols``:
-    ``cols[p]`` is an int over the layer's hosts whose bit h is set when
-    pattern p embeds into host h, for each of its ``n_patterns`` patterns
-    (a white layer has the white ones only).  A streamed layer has ``cols``
-    None, and a sweep computes its columns group by group.
+    the index of group k's first host.  A layer holds the patterns of its
+    own color only, the pids in ``pids`` (white or red).  A stored layer
+    has ``cols``, indexed by pid: ``cols[p]`` for p in ``pids`` is an int
+    over the layer's hosts whose bit h is set when pattern p embeds into
+    host h.  A red layer's list also has a slot for each white pid below
+    ``pids``; those hold 0 and are never read (see ``_BinaryEngine``).  A
+    streamed layer has ``cols`` None, and a sweep computes its columns
+    group by group.
     """
 
-    __slots__ = ("leaves", "n_patterns", "size", "offsets", "groups", "cols", "ones")
+    __slots__ = ("leaves", "pids", "size", "offsets", "groups", "cols", "ones")
 
-    def __init__(self, leaves: int, n_patterns: int, groups: list[_Group]):
+    def __init__(self, leaves: int, pids: range, groups: list[_Group]):
         self.leaves = leaves
-        self.n_patterns = n_patterns
+        self.pids = pids
         self.offsets: list[int] = []
         size = 0
         for group in groups:
@@ -282,10 +288,10 @@ class _Layer:
         return (group.i, fixed, pos) if group.fixed_first else (group.i, pos, fixed)
 
 
-def _leaf_layer(pid: int, n_patterns: int) -> _Layer:
-    layer = _Layer(1, n_patterns, [])
+def _leaf_layer(pid: int, pids: range) -> _Layer:
+    layer = _Layer(1, pids, [])
     layer.size = 1
-    cols = [0] * n_patterns
+    cols = [0] * pids.stop
     cols[pid] = 1
     layer.store(cols)
     return layer
@@ -384,6 +390,15 @@ class _BinaryEngine:
     - a tie (i, i) keeps the hosts b >= a of each row a, so each unordered
       pair appears once.
 
+    So a layer holds the patterns of its own color only (``_Layer.pids``),
+    and that is exact.  A white group holds white hosts, and only white
+    patterns are asked of it.  A red group is asked for red patterns only,
+    and by the rule above it reads its red part at red pids (p and q_red)
+    and its white part at white ones (q_white).  A white column of a red
+    layer would be read by nothing but the white columns of the red layers
+    above it, so none is built.  Each group is red or white throughout, so
+    ``_kernel`` decides once per group which part each term reads.
+
     ``_kernel`` binds one group's constants and returns ``piece(p)``, the
     rule for one pattern.  A term is skipped when p has more leaves than
     its part or one of its factors is 0, and p gets the group's ones when
@@ -421,6 +436,9 @@ class _BinaryEngine:
                 if budget is not None:
                     budget.check_time()
         self.n_white = sum(not s.has_red for s in patterns)
+        # The pids a white and a red layer hold (see ``_Layer``).
+        self.white_pids = range(self.n_white)
+        self.red_pids = range(self.n_white, len(patterns))
         self.patterns = patterns
         self.leaves = [s.leaf_count for s in patterns]
         pid = {s.code: p for p, s in enumerate(patterns)}
@@ -435,14 +453,17 @@ class _BinaryEngine:
             if c2.has_red:
                 c1, c2 = c2, c1
             self.splits.append((pid[c1.code], pid[c2.code]))
+        # The same splits white child first, for red groups whose white
+        # part is the fixed one.
+        self.flipped = [split and split[::-1] for split in self.splits]
         # Per level k, the order in which sweeps AND the targets (see
         # ``_all_of``), shared by every sweep of the level.
         self.orders: dict[int, list[int]] = {}
         # Each group's kernel, as the sweeps read it, until a layer is next
         # stored (a kernel reads its parts' columns).
         self.kernels: dict[_Group, Callable[[int], int]] = {}
-        self.white_layers = {1: _leaf_layer(pid["o"], self.n_white)}
-        self.red_layers = {0: _leaf_layer(pid["r"], len(patterns))} if redleaf else {}
+        self.white_layers = {1: _leaf_layer(pid["o"], self.white_pids)}
+        self.red_layers = {0: _leaf_layer(pid["r"], self.red_pids)} if redleaf else {}
 
     # -- layer construction ------------------------------------------------ #
 
@@ -458,8 +479,8 @@ class _BinaryEngine:
         layers = self.red_layers if red else self.white_layers
         if m not in layers:
             groups = range(m) if red else range(1, m // 2 + 1)
-            n_patterns = len(self.patterns) if red else self.n_white
-            layers[m] = _Layer(m + red, n_patterns, [self._group(m, i, red, budget) for i in groups])
+            pids = self.red_pids if red else self.white_pids
+            layers[m] = _Layer(m + red, pids, [self._group(m, i, red, budget) for i in groups])
         return layers[m]
 
     def _group(self, m: int, i: int, red: bool, budget: _Budget | None = None) -> _Group:
@@ -478,8 +499,9 @@ class _BinaryEngine:
 
     def _store(self, layer: _Layer, budget: _Budget | None) -> None:
         """Build a layer's columns from one kernel per group, once its parts
-        are stored.  A pattern with more leaves than the layer's hosts
-        keeps a 0 column and is never visited.  Each live pattern's column
+        are stored: the columns of the layer's own color (``_Layer.pids``)
+        only.  A pattern with more leaves than the layer's hosts keeps a 0
+        column and is never visited.  Each live pattern's column
         is chained from its pieces, starting at the end with the shorter
         group, so the long pieces at the other end are copied only once or
         twice; one column is finished before the next begins, so the
@@ -494,8 +516,8 @@ class _BinaryEngine:
         forward = groups[0].size < groups[-1].size
         kernels = [(group.size, self._kernel(group, compact=True))
                    for group in (groups if forward else reversed(groups))]
-        cols = [0] * layer.n_patterns
-        for p in range(layer.n_patterns):
+        cols = [0] * layer.pids.stop
+        for p in layer.pids:
             if leaves[p] > layer.leaves:
                 continue
             col = offset = 0
@@ -520,6 +542,12 @@ class _BinaryEngine:
         part holds gets the group's ones.  F[p] is tested before C[p] is
         read, and C[b] is read only when F[a] is nonzero.
 
+        A red group is asked for red patterns only (see the class
+        docstring), so its piece reads F[p] or C[p] from the red part alone
+        and makes the one split term (red part at q_red, white part at
+        q_white); a white group's piece reads both parts and both split
+        terms.  Which is bound once, here, not tested per call.
+
         When the other part is streamed, the fixed part is one host, so
         every factor from F is 0 or 1 and K(1, y) is y: the piece is all
         ones or the OR of some of C's columns.  The kernel then runs over
@@ -531,23 +559,28 @@ class _BinaryEngine:
             C, c_ones, ones = _PidBits(), -1, -1
         else:
             C, c_ones, ones = other.cols, other.ones, group.ones
-        kron, leaves, splits, n_white = group.kron, self.leaves, self.splits, self.n_white
-        # A white part holds no red pattern: a red p lies in the red part,
-        # and so does its red child, the first of its split.
-        red_fixed = group.fixed_first
+        kron, leaves, splits = group.kron, self.leaves, self.splits
+        # F[p] and C[p] are read for p with at most p_fixed and p_other
+        # leaves (-1: never).  ``mirror`` makes the second split term; a red
+        # group has one, and with its white part fixed it reads the split
+        # flipped, F at the white child and C at the red child.
+        p_fixed, p_other, mirror = f_leaves, c_leaves, True
+        if fixed.pids != other.pids:  # a red group
+            mirror = False
+            if group.fixed_first:  # the red part is fixed
+                p_other = -1
+            else:
+                p_fixed, splits = -1, self.flipped
         triangle = group.triangle if compact and group.tie else None
         if triangle:
             ones = (1 << group.size) - 1
 
         def piece(p: int) -> int:
             n = leaves[p]
-            white = p < n_white
-            in_fixed = white or red_fixed
-            in_other = white or not red_fixed
-            x = F[p] if in_fixed and n <= f_leaves else 0
+            x = F[p] if n <= p_fixed else 0
             if x == f_ones:
                 return ones
-            y = C[p] if in_other and n <= c_leaves else 0
+            y = C[p] if n <= p_other else 0
             if y == c_ones:
                 return ones
             # K(1, y) is y itself: the kron call is saved for it.
@@ -557,9 +590,9 @@ class _BinaryEngine:
             split = splits[p]
             if split is not None:
                 a, b = split
-                if in_fixed and (x := F[a]) and (y := C[b]):
+                if (x := F[a]) and (y := C[b]):
                     col |= y if x == 1 else kron(x, y)
-                if in_other and (x := F[b]) and (y := C[a]):
+                if mirror and (x := F[b]) and (y := C[a]):
                     col |= y if x == 1 else kron(x, y)
             return triangle(col) if triangle else col
 

@@ -139,15 +139,19 @@ def _rows(layer) -> list[int]:
 def _reference_rows(engine, m: int, red: bool, white_rows: dict, red_rows: dict) -> list[int]:
     """Rows of layer m from the rows of its parts, host by host: a root over
     a and b holds what a or b holds, and every pattern whose root split
-    lands in (a, b) either way (a red pattern's red child in the red part)."""
+    lands in (a, b) either way (a red pattern's red child in the red part).
+    A layer holds the patterns of its own color only, so a red row has red
+    bits only."""
     layer = (engine.red_layers if red else engine.white_layers)[m]
+    own = sum(1 << p for p in layer.pids)
     rows = []
     for h in range(layer.size):
         i, a, b = layer.locate(h)
         row_a = (red_rows if red else white_rows)[i][a]
         row_b = white_rows[m - i][b]
-        row = row_a | row_b
-        for p, split in enumerate(engine.splits):
+        row = (row_a | row_b) & own
+        for p in layer.pids:
+            split = engine.splits[p]
             if split is None:
                 continue
             q1, q2 = split
@@ -192,6 +196,10 @@ class TestEngineBitsets:
             engine.ensure_white_layer(m)
         patterns = [s for k in range(1, 4) for s in enumerate_shapes(k)]
         patterns += [s for k in range(0, 4) for s in enumerate_shapes(k, redleaf=True)]
+        # A red layer holds red patterns only: every red pid against the
+        # embedding, and no bit of a white pid.
+        red_pids = engine.red_pids
+        assert [p.has_red for p in patterns] == [p in red_pids for p in range(len(patterns))]
         # Groups of both orientations are built: the red part fixed with the
         # white part running, and the white part fixed with the red running.
         orientations = {
@@ -206,9 +214,8 @@ class TestEngineBitsets:
                 host = parse_code(engine.red_code(m, idx))
                 codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
-                    assert bool(bits >> pid & 1) == is_induced_subtree(pattern, host), (
-                        host.code, pattern.code,
-                    )
+                    expected = pid in red_pids and is_induced_subtree(pattern, host)
+                    assert bool(bits >> pid & 1) == expected, (host.code, pattern.code)
             assert len(codes) == layer.size
 
     def test_white_columns_match_host_reference(self):
@@ -307,10 +314,55 @@ class TestGroupKernel:
         monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
         engine.ensure_red_layer(9)
         assert len(calls) > 20
+        # A red layer's build visits red patterns only, a white one's white.
+        by_color = {False: engine.white_pids, True: engine.red_pids}
         for hosts, pids in calls:
-            n_patterns = len(engine.patterns) if pids[-1] >= engine.n_white else engine.n_white
-            assert pids == [p for p in range(n_patterns) if engine.leaves[p] <= hosts]
+            own = by_color[pids[-1] >= engine.n_white]
+            assert pids == [p for p in own if engine.leaves[p] <= hosts]
         assert {hosts for hosts, _ in calls} >= set(range(2, 11))
+
+    def test_groups_read_their_own_color_only(self, monkeypatch):
+        # What makes a red layer without white columns exact: no kernel of a
+        # red group is asked for a white pattern, in layer builds or in
+        # sweeps (symbolic kernels of streamed groups included), and no
+        # kernel of a white group for a red one.  So no red layer builds a
+        # white column (the white leaf o embeds into every host, so a built
+        # one would not be 0).
+        from utk.search import _BinaryEngine
+
+        asked = {}  # (redleaf search, red group, symbolic, compact) -> pids
+        engines = {}  # redleaf search -> its engine
+        kernel = _BinaryEngine._kernel
+
+        def recording(self, group, compact=False):
+            piece = kernel(self, group, compact)
+            engines[self.redleaf] = self
+            red = group.fixed.pids != group.other.pids
+            key = (self.redleaf, red, group.other.cols is None, compact)
+            pids = asked.setdefault(key, set())
+
+            def recorded(p):
+                pids.add(p)
+                return piece(p)
+
+            return recorded
+
+        monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
+        chains = find_min_universal_chain(6, redleaf=True), find_min_universal_chain(8)
+        assert [chain[-1].u_value for chain in chains] == [17, 14]
+        # (symbolic, compact): stores, and sweeps over stored and over
+        # streamed other parts, in every kind of group of both searches.
+        kinds = {(False, True), (False, False), (True, False)}
+        groups = {(True, True), (True, False), (False, False)}  # (redleaf, red group)
+        assert set(asked) == {group + kind for group in groups for kind in kinds}
+        for (redleaf, red, *_), pids in asked.items():
+            own = engines[redleaf].red_pids if red else engines[redleaf].white_pids
+            assert pids and pids <= set(own), (redleaf, red)
+        red_layers = [layer for layer in engines[True].red_layers.values()
+                      if layer.cols is not None]
+        assert len(red_layers) >= 5
+        for layer in red_layers:
+            assert not any(layer.cols[:layer.pids.start]), layer.leaves
 
     def test_all_ones_part_short_circuits(self, monkeypatch):
         # In group (1, 5) the fixed part is the leaf o, which lacks the
@@ -681,6 +733,25 @@ class TestTwelveDecided:
             assert engine.sweep(m, 12, budget) == [], m
         assert budget.examined == 187_899_561
         assert KNOWN_MIN_UNIVERSAL_SIZE[12] == 28
+
+
+@pytest.mark.long_run
+@pytest.mark.skipif(os.environ.get("UTK_LONG_RUN") != "1",
+                    reason="about 15 s and 2.2 GB; set UTK_LONG_RUN=1 to run")
+class TestRedleafEightBound:
+    def test_no_redleaf_shape_below_25_is_8_universal(self):
+        # u_red(8) >= u_red(7) = 20, so level 8 sweeps from 20.  Every
+        # sweep up to 24 comes out empty, so u_red(8) >= 25.  Each sweep
+        # tests every redleaf shape of its size once.
+        from utk.search import _BinaryEngine, _Budget
+        from utk.shapes import count_shapes
+
+        engine = _BinaryEngine(8, redleaf=True)
+        budget = _Budget(None)
+        for m in range(20, 25):
+            assert engine.sweep(m, 8, budget) == [], m
+        assert budget.examined == 512_621_712
+        assert budget.examined == sum(count_shapes(m, redleaf=True) for m in range(20, 25))
 
 
 class TestLongRun:

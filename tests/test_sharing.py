@@ -18,7 +18,12 @@ from oracles import (
     brute_mast,
     induced_shapes,
 )
-from utk.constructions import build_universal, build_universal_tanglegram
+from utk.constructions import (
+    build_redleaf_comb,
+    build_universal,
+    build_universal_redleaf,
+    build_universal_tanglegram,
+)
 from utk.embedding import mast
 from utk.search import is_universal
 from utk.shapes import (
@@ -125,6 +130,23 @@ class TestBuildersShare:
                       jellyfish(h=3, ell=9)):
             assert_one_object_per_subtree(shape)
         assert len(_postorder(caterpillar(50))[0]) == 50
+
+    def test_built_universal_and_comb(self):
+        # The redleaf base case reuses the memo's white leaf, and the comb's
+        # parts share one memo, so a built shape is one object per distinct
+        # subtree; writing it out is unchanged.
+        built = [build_universal(n) for n in range(1, 65)]
+        built += [build_universal_redleaf(n) for n in (1, 2, 5, 16)]
+        built += [build_redleaf_comb(k) for k in range(0, 5)]
+        for shape in built:
+            assert_one_object_per_subtree(shape)
+            copy = unshared(shape)
+            assert copy.code == shape.code
+            assert to_newick(copy) == to_newick(shape)
+            assert to_dot(copy) == to_dot(shape)
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            assert len(_postorder(build_universal(n))[0]) == 2 * n - 1
+        assert len(_postorder(build_redleaf_comb(3))[0]) == 31
 
     def test_universal_tanglegram(self):
         for n in (3, 4, 5):
