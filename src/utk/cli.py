@@ -137,6 +137,13 @@ def _refuse_long_listing(command: str, n: int, total: int) -> None:
                         f"more than {MAX_LISTED_SHAPES:,}")
 
 
+def _listed_up_to(n: int, d: int, redleaf: bool) -> int:
+    """Shapes that listing the size-n ones lists: every white shape of 1..n
+    white leaves, with ``redleaf`` also every redleaf shape of 0..n."""
+    kinds = (False, True) if redleaf else (False,)
+    return sum(sum(_size_counts(n, d, red)) for red in kinds)
+
+
 def _dump(data: dict | list) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
@@ -174,6 +181,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_check(args) -> int:
     shape = _parse_shape(_read_source(args.shape), args.d)
+    if args.n >= 1 and shape.white_leaves >= args.n:  # else no pattern is listed
+        if args.n > MAX_COUNT_N:
+            raise _CliError(f"check takes -n up to {MAX_COUNT_N} for this host, got {args.n}")
+        _refuse_long_listing("check", args.n, _listed_up_to(args.n, args.d, args.redleaf))
     universal = is_universal(shape, args.n, args.d, args.redleaf)
     if args.format == "json":
         _write(
@@ -282,9 +293,7 @@ def _cmd_search(args) -> int:
     if args.n > MAX_COUNT_N:
         raise _CliError(f"search takes -n up to {MAX_COUNT_N}, got {args.n}")
     if args.n >= 1 and args.d >= 2:  # else the search itself says what is wrong
-        kinds = (False, True) if args.redleaf else (False,)
-        _refuse_long_listing("search", args.n,
-                             sum(sum(_size_counts(args.n, args.d, red)) for red in kinds))
+        _refuse_long_listing("search", args.n, _listed_up_to(args.n, args.d, args.redleaf))
     for name, value in (("--max-candidates", args.max_candidates),
                         ("--max-seconds", args.max_seconds)):
         if value is not None and not 0 < value < math.inf:  # nan fails both

@@ -226,14 +226,15 @@ def build_redleaf_comb(k: int, d: int = 2,
         def universal_source(m: int) -> Shape:
             return _build(m, d, False, None, memo)[0]
 
+    packed: dict[int, Shape] = {}  # one per size, shared where svec(k) repeats it
     tail = make_leaf("red", d)
     for size in reversed(svec(k)):
-        part = universal_source(size)
-        if part.arity != d or part.has_red:
-            raise ValueError("universal_source must return white d-ary shapes")
-        if d > 2:
-            part = join([part] * (d - 1), arity=d)
-        tail = join([part, tail], arity=d)
+        if size not in packed:
+            part = universal_source(size)
+            if part.arity != d or part.has_red:
+                raise ValueError("universal_source must return white d-ary shapes")
+            packed[size] = join([part] * (d - 1), arity=d) if d > 2 else part
+        tail = join([packed[size], tail], arity=d)
     return tail
 
 

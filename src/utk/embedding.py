@@ -7,21 +7,21 @@ pattern leaf must land on the host's red leaf, and a white pattern leaf must
 land on a white host leaf.
 
 Containment is decided by the standard subtree-homeomorphism dynamic
-program over (pattern vertex, host vertex) pairs: a pattern vertex embeds at
-a host vertex if it embeds into one of the host's child subtrees, or if its
-children can be assigned injectively to distinct host children.  For hosts
-with up to 4 children the assignment is tried exhaustively; beyond that a
-maximum-bipartite-matching feasibility check is used.
+program over (pattern vertex, host vertex) pairs: a pattern vertex embeds in
+a host vertex's subtree if it embeds into one of the host's child subtrees,
+or if its children can be assigned injectively to distinct host children.
+For hosts with up to 4 children the assignment is tried exhaustively;
+beyond that a maximum-bipartite-matching feasibility check is used.
 
-``embeds_all`` runs the program for many patterns against one host and
-builds the host's postorder once.  The postorder view (``shapes._postorder``)
-lists each node object once, and a parsed shape has one object per
-distinct subtree, so on parsed shapes the program's table is indexed by
-(distinct pattern subtree, distinct host subtree).  The view is iterative,
-but the program itself recurses once per level of the host and the
-pattern: a host about 330 levels deep or more (``caterpillar(332)``)
-exceeds Python's default recursion limit, and ``utk check`` on it ends in
-exit 3.
+The table is filled bottom-up over the host's postorder, one integer per
+host entry with one bit per pattern entry, and the program stops at the
+first host entry whose bit for the pattern root is set.  ``embeds_all``
+runs it for many patterns against one host and builds the host's
+postorder once.  The postorder view (``shapes._postorder``) lists each
+node object once, and a parsed shape has one object per distinct subtree,
+so on parsed shapes the table is indexed by (distinct pattern subtree,
+distinct host subtree).  Neither the view nor the program recurses, so a
+host of any depth gets an answer.
 
 ``mast`` computes the number of leaves of a maximum agreement subtree of two
 white binary shapes with the analogous two-sided dynamic program.  Its
@@ -88,46 +88,44 @@ def is_induced_subtree(pattern: Shape, host: Shape) -> bool:
 def embeds_all(patterns: Iterable[Shape], host: Shape) -> bool:
     """True iff every pattern is an induced subtree of ``host`` (see
     ``is_induced_subtree``), tested in the given order up to the first that
-    is not.  The host's postorder is built once for all of them."""
+    is not.  The host's postorder is built once for all of them.
+
+    Each pattern's table is filled bottom-up: ``rows[h]`` has bit p set when
+    pattern entry p embeds in the subtree of host entry h, in a child's
+    subtree or at h itself.  Children come before parents in both
+    postorders, so every entry a step reads is already filled."""
     hnodes, h_kids = _postorder(host)
+    rows: list[int] = []
+
+    def feasible(p: int, h: int) -> int:
+        return rows[h] >> p & 1
+
     for pattern in patterns:
         if pattern.arity != host.arity:
             raise ValueError("pattern and host have different arity bounds")
-        if pattern.has_red and not host.has_red:
-            return False
-        if not _embeds(pattern, hnodes, h_kids):
+        pnodes, p_kids = _postorder(pattern)
+        root = 1 << (len(pnodes) - 1)
+        rows.clear()
+        for hnode, kids in zip(hnodes, h_kids):
+            row = 0
+            for k in kids:
+                row |= rows[k]
+            for p, pnode in enumerate(pnodes):
+                if row >> p & 1 or pnode.leaf_count > hnode.leaf_count \
+                        or pnode.height > hnode.height:
+                    continue
+                if pnode.is_leaf:
+                    found = hnode.has_red if pnode.red else hnode.white_leaves > 0
+                else:
+                    found = _injective_assignment(p_kids[p], kids, feasible)
+                if found:
+                    row |= 1 << p
+            if row & root:
+                break
+            rows.append(row)
+        else:  # no host subtree holds the pattern
             return False
     return True
-
-
-def _embeds(pattern: Shape, hnodes: list[Shape], h_kids: list[list[int]]) -> bool:
-    """The containment dynamic program against a host's postorder."""
-    pnodes, p_kids = _postorder(pattern)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def emb(pi: int, hi: int) -> bool:
-        key = (pi, hi)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        pnode, hnode = pnodes[pi], hnodes[hi]
-        if pnode.leaf_count > hnode.leaf_count or pnode.height > hnode.height:
-            result = False
-        elif pnode.is_leaf:
-            if pnode.red:
-                result = hnode.has_red
-            else:
-                result = hnode.white_leaves > 0
-        elif hnode.is_leaf:
-            result = False
-        else:
-            result = any(emb(pi, hj) for hj in h_kids[hi]) or _injective_assignment(
-                p_kids[pi], h_kids[hi], emb
-            )
-        memo[key] = result
-        return result
-
-    return emb(len(pnodes) - 1, len(hnodes) - 1)
 
 
 def mast(t1: Shape, t2: Shape) -> int:

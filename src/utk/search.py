@@ -1,8 +1,8 @@
 """Exhaustive universality checking and minimal-universal-shape search.
 
 ``is_universal`` answers whether one given shape contains every shape of a
-given size, by running the embedding dynamic program pattern by pattern
-(cheapest-to-fail patterns first).
+given size, by running the embedding dynamic program pattern by pattern,
+in code order, up to the first pattern that does not embed.
 
 ``find_min_universal`` computes the exact minimal size u(n) (or its redleaf
 or d-ary variant) together with the complete catalog of minimal universal
@@ -59,7 +59,7 @@ from typing import Callable, Iterator
 # ``perfbench/run.py --trace 1`` wraps ``is_induced_subtree`` where this
 # module would look it up, so the name stays importable from here.
 from utk.embedding import embeds_all, is_induced_subtree  # noqa: F401
-from utk.shapes import Shape, _child_key, complete_tree, enumerate_shapes, parse_code
+from utk.shapes import Shape, _child_key, enumerate_shapes, parse_code
 
 __all__ = [
     "SearchLimits",
@@ -150,26 +150,17 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
     """True iff every shape with ``n`` white leaves (redleaf: every redleaf
     shape with ``n`` white leaves) embeds into ``shape``.
 
-    Checks cheap necessary conditions first (height for the caterpillar,
-    containment of the largest complete tree that fits), then runs the
-    embedding check against every pattern, failing fast.
+    A host with fewer than ``n`` white leaves is rejected before any
+    pattern is listed; otherwise every pattern is tested, in code order, up
+    to the first that does not embed.
     """
     if shape.arity != d:
         raise ValueError("shape arity does not match d")
     if n < 1:
         raise ValueError("need n >= 1")
-    if redleaf and not shape.has_red:
+    if shape.white_leaves < n:
         return False
-    min_height = n if redleaf else n - 1
-    if shape.height < min_height:
-        return False
-    # Deepest patterns first: the caterpillar-like ones reject the most hosts.
-    patterns = sorted(enumerate_shapes(n, d, redleaf), key=lambda s: (-s.height, s.code))
-    if not redleaf:
-        h = n.bit_length() - 1
-        if h >= 1:
-            patterns.insert(0, complete_tree(h, d))
-    return embeds_all(patterns, shape)
+    return embeds_all(enumerate_shapes(n, d, redleaf), shape)
 
 
 # --------------------------------------------------------------------------- #

@@ -29,9 +29,8 @@ No pass in this module recurses over a tree: the parsers, the leaf colors
 and induced subtrees scan the code left to right; DOT export, the postorder
 view (``_postorder``) and ``graft``/``replace_subtree`` keep their own
 stacks or paths; Newick export rewrites the code.  So a tree of any depth
-parses and prints.  The containment dynamic program in :mod:`utk.embedding`
-still recurses, so checking a host about 330 levels deep or more
-(``utk check``) ends in exit 3.
+parses and prints, and the dynamic programs of :mod:`utk.embedding`, which
+fill their tables over the postorder view, answer for it.
 
 Shared subtrees
 ---------------

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from utk.cli import MAX_LISTED_SHAPES, main
+from utk.cli import MAX_COUNT_N, MAX_LISTED_SHAPES, main
+from utk.constructions import build_universal
 from utk.shapes import caterpillar, parse_code
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -99,12 +100,31 @@ class TestCheck:
         assert "NOT universal" in out
         assert err == ""
 
-    def test_too_deep_is_exit_3(self, capsys):
-        # The containment check still recurses once per host level.
+    def test_deep_host_gets_a_verdict(self, capsys):
+        # Heights 699 and 510, beyond Python's recursion limit: the
+        # containment check keeps no stack.
         code, out, err = run_cli(capsys, "check", caterpillar(700).code, "-n", "4")
-        assert (code, out) == (3, "")
-        assert err.startswith("utk: input too deep")
-        assert "Traceback" not in err
+        assert (code, err) == (1, "")
+        assert "NOT universal" in out
+        code, out, err = run_cli(capsys, "check", build_universal(256).code, "-n", "5")
+        assert (code, err) == (0, "")
+        assert "is universal" in out
+
+    def test_long_listing_is_refused_before_work(self, capsys):
+        # build -n 64 has 2,731 white leaves, so -n 25 would list every
+        # shape of up to 25 leaves.
+        big = build_universal(64).code
+        code, out, err = run_cli(capsys, "check", big, "-n", "25")
+        assert (code, out) == (2, "")
+        assert err.startswith("utk: check -n 25 would list")
+        assert f"{MAX_LISTED_SHAPES:,}" in err
+        code, out, err = run_cli(capsys, "check", big, "-n", str(MAX_COUNT_N + 1), "--redleaf")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"utk: check takes -n up to {MAX_COUNT_N}")
+        # A host with fewer than n white leaves needs no listing.
+        code, out, err = run_cli(capsys, "check", "((oo)(oo))", "-n", "25")
+        assert (code, err) == (1, "")
+        assert "NOT universal" in out
 
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "((oo)", "-n", "2")

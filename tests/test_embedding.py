@@ -86,6 +86,14 @@ class TestIsInducedSubtree:
                 pattern, host
             )
 
+    def test_deep_hosts(self):
+        # Heights 699 and 4999, beyond Python's recursion limit: the table
+        # is filled bottom-up over the host's postorder.
+        for size in (700, 5000):
+            host = caterpillar(size)
+            assert is_induced_subtree(caterpillar(3), host)
+            assert not is_induced_subtree(complete_tree(2), host)
+
     def test_wide_nodes_use_matching_path(self):
         # Host with 6 children exercises the bipartite-matching branch.
         star6 = join([caterpillar(k, arity=6) for k in (1, 1, 2, 2, 3, 3)], arity=6)

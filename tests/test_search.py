@@ -56,6 +56,19 @@ class TestIsUniversal:
     def test_white_shape_never_redleaf_universal(self):
         assert not is_universal(complete_tree(3), 2, redleaf=True)
 
+    def test_small_host_lists_no_pattern(self, monkeypatch):
+        import utk.search
+
+        def listing(*args):
+            raise AssertionError("listed patterns for a host with too few leaves")
+
+        monkeypatch.setattr(utk.search, "enumerate_shapes", listing)
+        assert not is_universal(complete_tree(2), 30)
+        assert not is_universal(caterpillar(20), 21, redleaf=True)
+
+    def test_deep_host(self):
+        assert not is_universal(caterpillar(5000), 4)
+
     def test_arity_check(self):
         with pytest.raises(ValueError):
             is_universal(caterpillar(3, arity=3), 3)

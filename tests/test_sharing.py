@@ -137,7 +137,7 @@ class TestBuildersShare:
         # subtree; writing it out is unchanged.
         built = [build_universal(n) for n in range(1, 65)]
         built += [build_universal_redleaf(n) for n in (1, 2, 5, 16)]
-        built += [build_redleaf_comb(k) for k in range(0, 5)]
+        built += [build_redleaf_comb(k, d) for k in range(0, 5) for d in (2, 3)]
         for shape in built:
             assert_one_object_per_subtree(shape)
             copy = unshared(shape)
@@ -147,6 +147,8 @@ class TestBuildersShare:
         for n in (1, 2, 4, 8, 16, 32, 64):
             assert len(_postorder(build_universal(n))[0]) == 2 * n - 1
         assert len(_postorder(build_redleaf_comb(3))[0]) == 31
+        # The d = 3 comb packs each size's parts once, however often svec repeats it.
+        assert len(_postorder(build_redleaf_comb(2, 3))[0]) == 18
 
     def test_universal_tanglegram(self):
         for n in (3, 4, 5):
