@@ -213,8 +213,9 @@ def build_redleaf_comb(k: int, d: int = 2,
     """A ``2**k``-universal redleaf shape chained from plain universal parts.
 
     Chains ``R_1 (+) (R_2 (+) (... (R_m (+) red-leaf)))`` over the doubling
-    sequence ``svec(k)``, where ``R_i`` packs ``d - 1`` shapes universal for
-    ``svec(k)[i-1]`` leaves (one shape for d = 2).  ``universal_source(m)``
+    sequence ``svec(k)``, where ``R_i (+) tail`` is one root over ``d - 1``
+    copies of a shape universal for ``svec(k)[i-1]`` leaves and the tail, so
+    the red side and every white side are siblings.  ``universal_source(m)``
     supplies the m-universal shapes, defaulting to :func:`build_universal`.
     """
     if k < 0:
@@ -226,15 +227,15 @@ def build_redleaf_comb(k: int, d: int = 2,
         def universal_source(m: int) -> Shape:
             return _build(m, d, False, None, memo)[0]
 
-    packed: dict[int, Shape] = {}  # one per size, shared where svec(k) repeats it
+    parts: dict[int, Shape] = {}  # one per size, shared where svec(k) repeats it
     tail = make_leaf("red", d)
     for size in reversed(svec(k)):
-        if size not in packed:
+        if size not in parts:
             part = universal_source(size)
             if part.arity != d or part.has_red:
                 raise ValueError("universal_source must return white d-ary shapes")
-            packed[size] = join([part] * (d - 1), arity=d) if d > 2 else part
-        tail = join([packed[size], tail], arity=d)
+            parts[size] = part
+        tail = join([parts[size]] * (d - 1) + [tail], arity=d)
     return tail
 
 

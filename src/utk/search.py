@@ -40,6 +40,20 @@ compose and the walk goes one level down.  A streamed layer is stored
 when a later sweep needs it below its own two.  So the sweep over size 27,
 the last to decide u(12) = 28, stores white layers up to 24.
 
+Two exact lemmas about a host's parts let a sweep skip groups that hold no
+winner.  White: if (A, B) is k-universal with |A| <= |B| and
+|A| <= k - 2, then B is (k - 1)-universal, since every (k - 1)-shape Q
+lies in B for (o, Q) to embed.  Redleaf: if (R, W) is redleaf
+k-universal with the red leaf in R, then R is redleaf (k - 1)-universal,
+since every (o, Q') embeds and Q' holds the red leaf.  So group (i, m - i)
+of a level-k sweep can hold a winner only if i >= k - 1 or
+m - i >= u(k - 1) (white), or i >= u_red(k - 1) (redleaf).  Where a
+streamed part must be (k - 1)-universal, its own groups are tested at
+level k - 1, one level lower per streamed layer.  The chain records each
+level's u as it is decided, and a level not recorded prunes nothing.  A
+skipped group still spends its budget, so ``candidates_examined`` does not
+change; the layer builds are not touched.
+
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
 the same driver with an enumerate-and-check step: every shape of the
@@ -182,14 +196,16 @@ class _Group:
     the other part's layer (W hosts, maybe streamed), laid out
     fixed-host-major as host a·W + b.  A tie (i, i) keeps b >= a, and its
     ``size`` counts the kept hosts only.  Each part's layer knows its hosts'
-    leaf count (``_Layer.leaves``)."""
+    leaf count (``_Layer.leaves``).  A red group (``red``) is a root over a
+    red and a white part."""
 
-    __slots__ = ("i", "fixed", "other", "fixed_first", "tie", "width", "size",
+    __slots__ = ("i", "fixed", "other", "fixed_first", "tie", "red", "width", "size",
                  "ones", "spreader", "row_starts", "low", "kept")
 
     def __init__(self, i: int, fixed: _Layer, other: _Layer, fixed_first: bool, tie: bool):
         self.i, self.fixed, self.other = i, fixed, other
         self.fixed_first, self.tie = fixed_first, tie
+        self.red = fixed.pids != other.pids
         n_fixed, width = fixed.size, other.size
         self.width = width
         self.size = n_fixed * (n_fixed + 1) // 2 if tie else n_fixed * width
@@ -413,6 +429,15 @@ class _BinaryEngine:
     is symbolic as well: the two column sets compose (``_Plan``), and the
     walk reads them one level further down.  Stored and streamed groups
     follow the same rule.
+
+    ``u`` holds the levels the chain has decided (u(k), or u_red(k) in a
+    redleaf engine).  From them the part lemmas of the module docstring
+    rule out groups before any kernel reads them (``_hopeless``): a sweep
+    group of level k when i <= k - 2 and m - i < u(k - 1) (white) or
+    i < u_red(k - 1) (red), and in a streamed walk a group of a layer
+    whose hosts must be universal at a lower level (``_inner_need``): the
+    larger part of a white group with i <= k - 2, or the red part of a red
+    group, at k - 1.  The sweep still spends the group's budget.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -453,6 +478,10 @@ class _BinaryEngine:
         # Each group's kernel, as the sweeps read it, until a layer is next
         # stored (a kernel reads its parts' columns).
         self.kernels: dict[_Group, Callable[[int], int]] = {}
+        # u(k) (redleaf: u_red(k)) of each level k decided so far, which
+        # the part lemmas read (see ``_hopeless``); a level not recorded
+        # prunes nothing.
+        self.u: dict[int, int] = {}
         self.white_layers = {1: _leaf_layer(pid["o"], self.white_pids)}
         self.red_layers = {0: _leaf_layer(pid["r"], self.red_pids)} if redleaf else {}
 
@@ -556,7 +585,7 @@ class _BinaryEngine:
         # group has one, and with its white part fixed it reads the split
         # flipped, F at the white child and C at the red child.
         p_fixed, p_other, mirror = f_leaves, c_leaves, True
-        if fixed.pids != other.pids:  # a red group
+        if group.red:
             mirror = False
             if group.fixed_first:  # the red part is fixed
                 p_other = -1
@@ -645,7 +674,7 @@ class _BinaryEngine:
         winners: list[tuple[int, int, int]] = []
         for group in self._layer(m, self.redleaf, budget).groups:
             i = group.i
-            hits = self._survivors(group, order, budget)
+            hits = self._survivors(group, order, budget, k)
             pairs = [divmod(pos, group.width) for pos in hits]
             if group.tie:
                 pairs = [(a, b) for a, b in pairs if b >= a]
@@ -654,10 +683,35 @@ class _BinaryEngine:
                 budget.spend(examined)
         return winners
 
-    def _survivors(self, group: _Group, order: list[int], budget: _Budget) -> list[int]:
+    def _hopeless(self, group: _Group, need: int | None) -> bool:
+        """True when no host of ``group`` can be ``need``-universal by the
+        part lemmas (see the class docstring), from the levels in ``u``."""
+        if need is None or (below := self.u.get(need - 1)) is None:
+            return False
+        if group.red:  # the red part has i white leaves
+            return group.i < below
+        # White: the parts have i <= m - i leaves, and the other has m - i.
+        return group.i <= need - 2 and group.other.leaves < below
+
+    @staticmethod
+    def _inner_need(group: _Group, need: int | None) -> int | None:
+        """The level at which each host of ``group``'s other part must be
+        universal for a host of the group to be ``need``-universal, or None
+        when the lemmas ask nothing of it."""
+        if need is None:
+            return None
+        if group.red:  # the red part, if it is the other
+            return None if group.fixed_first else need - 1
+        # White: the other part is the one with m - i >= i leaves.
+        return need - 1 if group.i <= need - 2 else None
+
+    def _survivors(self, group: _Group, order: list[int], budget: _Budget,
+                   need: int) -> list[int]:
         """Positions in ``group``'s square of the hosts that contain every
         target: the targets' kernel pieces ANDed in ``order`` up to the
         first empty result (``_all_of``, which also learns the order).
+        ``need`` is the targets' level k: a group the part lemmas rule out
+        (``_hopeless``) has none and is not read.
 
         A streamed other part is walked by its own groups, each inner
         group's hosts placed at its offset (a tie's trimmed to the kept
@@ -667,9 +721,13 @@ class _BinaryEngine:
         symbolic columns (see ``_kernel``).  Which columns of the layer
         being walked a target ORs (its ``_Plan``) is composed from the
         level above and that symbolic kernel; the innermost group's kernel
-        reads those columns, and its AND decides.  Each group's kernel is
-        built once and kept in ``self.kernels`` until a layer is next
-        stored."""
+        reads those columns, and its AND decides.  Where the lemmas ask a
+        walked layer's hosts to be universal at a lower level
+        (``_inner_need``), its groups are tested at that level and the
+        hopeless ones skipped.  Each group's kernel is built once and kept
+        in ``self.kernels`` until a layer is next stored."""
+        if self._hopeless(group, need):
+            return []
         kernels = self.kernels
 
         def kernel(g: _Group) -> Callable[[int], int]:
@@ -682,7 +740,7 @@ class _BinaryEngine:
             return _positions(_all_of(kernel(group), order, group.ones), 0)
         hits: list[int] = []
 
-        def walk(layer: _Layer, plan: _Plan, base: int) -> None:
+        def walk(layer: _Layer, plan: _Plan, base: int, need: int | None) -> None:
             # ``piece`` and ``ones`` are those of the inner group the loop is at.
             def through(p: int) -> int:
                 qs = plan[p]
@@ -694,17 +752,20 @@ class _BinaryEngine:
                 return col
 
             for offset, inner in zip(layer.offsets, layer.groups):
+                if self._hopeless(inner, need):
+                    continue
                 budget.check_time()
                 piece, ones = kernel(inner), inner.ones
                 if inner.other.cols is None:
-                    walk(inner.other, _Plan(plan, piece), base + offset)
+                    walk(inner.other, _Plan(plan, piece), base + offset,
+                         self._inner_need(inner, need))
                     continue
                 acc = _all_of(through, order, ones)
                 if inner.tie:
                     acc = inner.triangle(acc)
                 hits.extend(_positions(acc, base + offset))
 
-        walk(group.other, _Plan(None, kernel(group)), 0)
+        walk(group.other, _Plan(None, kernel(group)), 0, self._inner_need(group, need))
         return hits
 
     def _chunk_space(self, m: int, i: int, block: int = 8192) -> Iterator[int]:
@@ -758,11 +819,15 @@ def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
     reports: list[SearchReport] = []
     level_t0, level_examined = time.monotonic(), 0
     try:
-        step = _BinaryEngine(n, redleaf, budget).minimal_codes if d == 2 else _embed_step(d, redleaf)
-        prev_u = 1
+        if d == 2:
+            engine = _BinaryEngine(n, redleaf, budget)
+            # The engine's part lemmas read the levels decided so far.
+            step, decided = engine.minimal_codes, engine.u
+        else:
+            step, decided = _embed_step(d, redleaf), {}
         for k in range(1, n + 1):
             level_t0, level_examined = time.monotonic(), budget.examined
-            m = max(k, prev_u)
+            m = max(k, decided.get(k - 1, 1))
             while not (codes := step(m, k, budget)):
                 m += 1
             reports.append(
@@ -773,7 +838,7 @@ def find_min_universal_chain(n: int, d: int = 2, redleaf: bool = False,
                     wall_time=time.monotonic() - level_t0,
                 )
             )
-            prev_u = m
+            decided[k] = m
     except ResourceLimit as limit:
         reports.append(
             SearchReport(

@@ -206,6 +206,18 @@ class TestBuildRedleafComb:
             comb = build_redleaf_comb(k)
             assert is_universal(comb, 2**k, redleaf=True)
 
+    def test_dary_combs_are_universal(self):
+        # Each step joins the d - 1 parts and the tail under one root; a
+        # binary node over the packed parts and the tail missed (oor) at
+        # d = 3, k = 1.  The white-leaf count is (d - 1) times the parts'.
+        for d in (3, 4):
+            for k in (0, 1, 2):
+                comb = build_redleaf_comb(k, d=d)
+                assert is_universal(comb, 2**k, d=d, redleaf=True), (d, k)
+                parts = sum(2**i * build_universal(2 ** (k - i), d).white_leaves
+                            for i in range(k + 1))
+                assert comb.white_leaves == (d - 1) * parts, (d, k)
+
     def test_universal_with_minimal_parts(self):
         minimal = {1: "o", 2: "(oo)", 4: "((oo)(o(oo)))"}
         comb = build_redleaf_comb(2, universal_source=lambda m: parse_code(minimal[m]))

@@ -24,6 +24,8 @@ from utk.shapes import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+WHITE_U_TO_11 = [1, 2, 3, 5, 6, 9, 10, 14, 16, 19, 21]
+RED_U_TO_7 = [1, 3, 5, 9, 12, 17, 20]
 
 
 def catalog_fixture(name: str) -> tuple[str, ...]:
@@ -340,16 +342,18 @@ class TestGroupKernel:
         # sweeps (symbolic kernels of streamed groups included), and no
         # kernel of a white group for a red one.  So no red layer builds a
         # white column (the white leaf o embeds into every host, so a built
-        # one would not be 0).
-        from utk.search import _BinaryEngine
+        # one would not be 0).  The redleaf chain's part lemmas skip every
+        # group that streams a white part, so a sweep on an engine with no
+        # recorded levels walks those: at level 1 every candidate wins.
+        from utk.search import _BinaryEngine, _Budget
 
         asked = {}  # (redleaf search, red group, symbolic, compact) -> pids
-        engines = {}  # redleaf search -> its engine
+        engines = {}  # redleaf search -> its chain's engine
         kernel = _BinaryEngine._kernel
 
         def recording(self, group, compact=False):
             piece = kernel(self, group, compact)
-            engines[self.redleaf] = self
+            engines.setdefault(self.redleaf, self)
             red = group.fixed.pids != group.other.pids
             key = (self.redleaf, red, group.other.cols is None, compact)
             pids = asked.setdefault(key, set())
@@ -363,6 +367,9 @@ class TestGroupKernel:
         monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
         chains = find_min_universal_chain(6, redleaf=True), find_min_universal_chain(8)
         assert [chain[-1].u_value for chain in chains] == [17, 14]
+        assert (True, False, True, False) not in asked
+        budget = _Budget(None)
+        assert len(_BinaryEngine(6, redleaf=True).sweep(9, 1, budget)) == budget.examined
         # (symbolic, compact): stores, and sweeps over stored and over
         # streamed other parts, in every kind of group of both searches.
         kinds = {(False, True), (False, False), (True, False)}
@@ -429,7 +436,7 @@ class TestStreamedTopLayer:
         groups = [engine._group(m, i, engine.redleaf)
                   for i in (range(m) if engine.redleaf else range(1, m // 2 + 1))]
         order = list(engine.target_pids(k) if order is None else order)
-        return [(engine._survivors(g, order, _Budget(None)), g.other.cols is None)
+        return [(engine._survivors(g, order, _Budget(None), k), g.other.cols is None)
                 for g in groups]
 
     def _survivors_agree(self, streamed, stored, m, k):
@@ -551,10 +558,10 @@ class TestStreamedTopLayer:
 
     def test_learned_order_cuts_target_pieces(self, monkeypatch):
         # Target pieces the sweeps of the n = 10 chain evaluate, one AND per
-        # innermost group: 4,832 in the fixed deepest-first order (each AND
-        # gets a copy of the seed, so nothing is learned), 2,822 with the
-        # learned one.  The counts depend on nothing but the sweeps, so they
-        # repeat exactly.
+        # innermost group the part lemmas leave: 2,607 in the fixed
+        # deepest-first order (each AND gets a copy of the seed, so nothing
+        # is learned), 1,714 with the learned one.  The counts depend on
+        # nothing but the sweeps, so they repeat exactly.
         import utk.search
 
         all_of = utk.search._all_of
@@ -574,7 +581,7 @@ class TestStreamedTopLayer:
             counts.append(0)
             monkeypatch.setattr(utk.search, "_all_of", counting(learn))
             find_min_universal_chain(10)
-        assert counts == [4832, 2822, 2822], counts
+        assert counts == [2607, 1714, 1714], counts
 
     def test_top_layer_is_not_stored(self):
         from utk.search import _BinaryEngine, _Budget
@@ -585,6 +592,84 @@ class TestStreamedTopLayer:
         assert engine.white_layers[18].cols is None
         assert engine.white_layers[17].cols is None
         assert engine.white_layers[16].cols is not None
+
+
+class TestPartLemmas:
+    # The engine skips the groups that two lemmas rule out.  White: if
+    # (A, B) is k-universal and |A| <= k - 2, with |A| <= |B|, then B is
+    # (k - 1)-universal.  Redleaf: if (R, W) is redleaf k-universal, R the
+    # red child, then R is redleaf (k - 1)-universal.
+
+    @staticmethod
+    def _levels(host, redleaf):
+        """Every level k >= 1 at which ``host`` is universal (downward
+        closed: a k-shape less one leaf is every (k - 1)-shape)."""
+        k = 1
+        while is_universal(host, k, redleaf=redleaf):
+            k += 1
+        return range(1, k)
+
+    def test_white_lemma_by_embedding(self):
+        fired = 0
+        for m in range(2, 13):
+            for host in enumerate_shapes(m):
+                small, large = sorted(host.children, key=lambda c: c.white_leaves)
+                for k in self._levels(host, False):
+                    if small.white_leaves <= k - 2:
+                        fired += 1
+                        assert is_universal(large, k - 1), (host.code, k)
+        assert fired > 1000
+
+    def test_redleaf_lemma_by_embedding(self):
+        checked = 0
+        for m in range(1, 10):
+            for host in enumerate_shapes(m, redleaf=True):
+                red = next(c for c in host.children if c.has_red)
+                for k in self._levels(host, True)[1:]:
+                    checked += 1
+                    assert is_universal(red, k - 1, redleaf=True), (host.code, k)
+        assert checked > 1000
+
+    @staticmethod
+    def _run(engine, sweeps):
+        """Per (m, k): the winners, each group's survivors in sweep order,
+        the budget spent, and how many groups the lemmas skipped."""
+        from utk.search import _Budget
+
+        survive, hopeless = engine._survivors, engine._hopeless
+        survivors, skipped = [], []
+        engine._survivors = lambda *args: survivors.append(survive(*args)) or survivors[-1]
+        engine._hopeless = lambda *args: skipped.append(hopeless(*args)) or skipped[-1]
+        runs = []
+        for m, k in sweeps:
+            budget = _Budget(None)
+            winners = engine.sweep(m, k, budget)
+            runs.append((m, k, winners, survivors[:], budget.examined))
+            survivors.clear()
+        return runs, sum(skipped)
+
+    def _recorded_levels_change_nothing(self, make_engine, u_values):
+        sweeps = _chain_sweeps(u_values, u_values[-1])
+        pruned, plain = make_engine(), make_engine()
+        pruned.u = dict(enumerate(u_values, start=1))
+        (pruned_runs, skipped), (plain_runs, none) = (
+            self._run(pruned, sweeps), self._run(plain, sweeps))
+        assert pruned_runs == plain_runs
+        assert none == 0 and skipped > 50, skipped
+        # Each level's last sweep, and only it, finds its minimal shapes.
+        assert [bool(run[2]) for run in pruned_runs].count(True) == len(u_values)
+
+    def test_white_chain_to_10(self):
+        from utk.search import _BinaryEngine
+
+        self._recorded_levels_change_nothing(lambda: _BinaryEngine(10, redleaf=False),
+                                             WHITE_U_TO_11[:10])
+
+    def test_redleaf_chain_to_6(self):
+        from utk.search import _BinaryEngine
+
+        self._recorded_levels_change_nothing(lambda: _BinaryEngine(6, redleaf=True),
+                                             RED_U_TO_7[:6])
 
 
 class TestRedleafSearch:
@@ -741,6 +826,7 @@ class TestTwelveDecided:
         from utk.search import _BinaryEngine, _Budget
 
         engine = _BinaryEngine(12, redleaf=False)
+        engine.u = {k: u for k, u in KNOWN_MIN_UNIVERSAL_SIZE.items() if k < 12}
         budget = _Budget(None)
         for m in range(21, 28):
             assert engine.sweep(m, 12, budget) == [], m
@@ -750,7 +836,7 @@ class TestTwelveDecided:
 
 @pytest.mark.long_run
 @pytest.mark.skipif(os.environ.get("UTK_LONG_RUN") != "1",
-                    reason="about 15 s and 2.2 GB; set UTK_LONG_RUN=1 to run")
+                    reason="about 10 s and 2.2 GB; set UTK_LONG_RUN=1 to run")
 class TestRedleafEightBound:
     def test_no_redleaf_shape_below_25_is_8_universal(self):
         # u_red(8) >= u_red(7) = 20, so level 8 sweeps from 20.  Every
@@ -760,6 +846,7 @@ class TestRedleafEightBound:
         from utk.shapes import count_shapes
 
         engine = _BinaryEngine(8, redleaf=True)
+        engine.u = dict(enumerate(RED_U_TO_7, start=1))
         budget = _Budget(None)
         for m in range(20, 25):
             assert engine.sweep(m, 8, budget) == [], m
@@ -770,7 +857,7 @@ class TestRedleafEightBound:
 class TestLongRun:
     def test_u_values_and_catalogs_to_11(self):
         chain = find_min_universal_chain(11)
-        assert [r.u_value for r in chain] == [1, 2, 3, 5, 6, 9, 10, 14, 16, 19, 21]
+        assert [r.u_value for r in chain] == WHITE_U_TO_11
         assert [len(r.minimal_shapes) for r in chain][8:] == [8, 2, 1]
         for n in (9, 10, 11):
             expected = catalog_fixture(f"universal_catalog_n{n:02d}.codes")

@@ -147,8 +147,9 @@ class TestBuildersShare:
         for n in (1, 2, 4, 8, 16, 32, 64):
             assert len(_postorder(build_universal(n))[0]) == 2 * n - 1
         assert len(_postorder(build_redleaf_comb(3))[0]) == 31
-        # The d = 3 comb packs each size's parts once, however often svec repeats it.
-        assert len(_postorder(build_redleaf_comb(2, 3))[0]) == 18
+        # The d = 3 comb builds each size's part once, however often svec
+        # repeats it; each step is one root over two parts and the tail.
+        assert len(_postorder(build_redleaf_comb(2, 3))[0]) == 15
 
     def test_universal_tanglegram(self):
         for n in (3, 4, 5):
