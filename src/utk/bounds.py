@@ -19,10 +19,9 @@ here is safe to compare against exhaustive search results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from utk.embedding import jellyfish_mast
-from utk.shapes import JellyfishSpec
+from utk.shapes import JellyfishSpec, _Record
 
 __all__ = [
     "naive_upper",
@@ -39,11 +38,16 @@ __all__ = [
 
 # Minimal universal sizes established by exhaustive search (the search module
 # reproduces these; n = 12 in a long-run test).  Sizes known only from above
-# go in KNOWN_UPPER_BOUND; none is now.
+# go in KNOWN_UPPER_BOUND: each is the size of an n-universal witness,
+# ``build_universal(n, parts=...)`` with the smallest universal shapes of up
+# to 12 leaves and the smallest redleaf shapes of up to 7 white leaves as its
+# parts, checked by ``is_universal``.  The witnesses are test fixtures
+# (``witness_13_upper.code``, ``witness_15_upper.code``); n = 14 and n = 15
+# build the same 40-leaf shape.
 KNOWN_MIN_UNIVERSAL_SIZE = {
     1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 9, 7: 10, 8: 14, 9: 16, 10: 19, 11: 21, 12: 28,
 }
-KNOWN_UPPER_BOUND: dict[int, int] = {}
+KNOWN_UPPER_BOUND = {13: 35, 14: 40, 15: 40}
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -72,8 +76,7 @@ def quad_upper(n: int) -> int:
     return (2 * n * n + 1) // 3
 
 
-@dataclass(frozen=True)
-class ChungBound:
+class ChungBound(_Record):
     """Lower bound for u(2**k) from the inclusion-exclusion count.
 
     ``evaluated`` is ceil((2 k 2**k - sum of pairwise agreement sizes) / 3),
@@ -81,10 +84,10 @@ class ChungBound:
     weaker ceil(k 2**k / 3).
     """
 
-    k: int
-    evaluated: int
-    simplified: int
-    mast_sum: int
+    __slots__ = ("k", "evaluated", "simplified", "mast_sum")
+
+    def __init__(self, k: int, evaluated: int, simplified: int, mast_sum: int):
+        self._set(k, evaluated, simplified, mast_sum)
 
 
 def chung_lower(k: int) -> ChungBound:

@@ -28,10 +28,9 @@ leaf and wiring each left small tree to all right small trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from utk.shapes import Shape, _postorder, caterpillar, graft, join, make_leaf
+from utk.shapes import Shape, _postorder, _Record, caterpillar, graft, join, make_leaf
 from utk.tanglegrams import Tanglegram
 
 __all__ = [
@@ -54,8 +53,7 @@ PartSource = Callable[[int, bool], "Shape | None"]
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class CoeffSequences:
+class CoeffSequences(_Record):
     """Coefficients (a_k, b_k, c_k), 1-indexed via ``a(k)`` etc.
 
     ``a_1 = 1``, ``b_1 = d``, ``a_{k+1} = 3 a_k + b_k``,
@@ -64,10 +62,10 @@ class CoeffSequences:
     ``b_k = (4**k + 2) / 3``; in general ``c_k = (d+2)**k``.
     """
 
-    d: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    __slots__ = ("d", "a", "b", "c")
+
+    def __init__(self, d: int, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]):
+        self._set(d, a, b, c)
 
     def __call__(self, name: str, k: int) -> int:
         return getattr(self, name)[k - 1]

@@ -33,10 +33,9 @@ enumerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from utk.shapes import Shape, graft, join, make_leaf, replace_subtree, subtree_at
+from utk.shapes import Shape, _Record, graft, join, make_leaf, replace_subtree, subtree_at
 
 __all__ = [
     "CentroidReport",
@@ -51,8 +50,7 @@ __all__ = [
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CentroidReport:
+class CentroidReport(_Record):
     """Per-vertex ``tau_W`` values plus the centroid set.
 
     Vertices are addressed by root paths (tuples of child indices in
@@ -61,9 +59,10 @@ class CentroidReport:
     deterministic.
     """
 
-    tau: dict[Path, int]
-    centroids: tuple[Path, ...]
-    designated: Path
+    __slots__ = ("tau", "centroids", "designated")
+
+    def __init__(self, tau: dict[Path, int], centroids: tuple[Path, ...], designated: Path):
+        self._set(tau, centroids, designated)
 
 
 def _iter_vertices(shape: Shape) -> Iterator[tuple[Path, Shape]]:
@@ -101,22 +100,21 @@ def white_leaf_centroid(shape: Shape) -> CentroidReport:
     return CentroidReport(tau=tau, centroids=centroids, designated=centroids[0])
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Record):
     """A binary split ``F = f1[f2 (+) f3]``: redleaf stump ``f1`` above the
-    split vertex, child subtrees ``f2`` and ``f3``."""
+    split vertex, child subtrees ``f2`` and ``f3``.  ``kind`` is
+    ``"universal"``, ``"redleaf-descendant"`` or ``"redleaf-ancestor"``."""
 
-    f1: Shape
-    f2: Shape
-    f3: Shape
-    kind: str  # "universal" | "redleaf-descendant" | "redleaf-ancestor"
+    __slots__ = ("f1", "f2", "f3", "kind")
+
+    def __init__(self, f1: Shape, f2: Shape, f3: Shape, kind: str):
+        self._set(f1, f2, f3, kind)
 
     def reassemble(self) -> Shape:
         return graft(self.f1, join([self.f2, self.f3]))
 
 
-@dataclass(frozen=True)
-class DarySplit:
+class DarySplit(_Record):
     """A d-ary split ``F = f1[join(parts)]``.
 
     ``centroid_part`` is the index (within ``parts``) of the part containing
@@ -124,10 +122,11 @@ class DarySplit:
     exempt from the halving bound; ``None`` otherwise.
     """
 
-    f1: Shape
-    parts: tuple[Shape, ...]
-    kind: str
-    centroid_part: int | None = None
+    __slots__ = ("f1", "parts", "kind", "centroid_part")
+
+    def __init__(self, f1: Shape, parts: tuple[Shape, ...], kind: str,
+                 centroid_part: int | None = None):
+        self._set(f1, parts, kind, centroid_part)
 
     def reassemble(self) -> Shape:
         return graft(self.f1, join(self.parts))

@@ -39,7 +39,7 @@ the jellyfish family.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 from utk.shapes import JellyfishSpec, Shape, _postorder
 

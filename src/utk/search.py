@@ -66,14 +66,13 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterator
 from operator import itemgetter
-from typing import Callable, Iterator
 
 # ``perfbench/run.py --trace 1`` wraps ``is_induced_subtree`` where this
 # module would look it up, so the name stays importable from here.
 from utk.embedding import embeds_all, is_induced_subtree  # noqa: F401
-from utk.shapes import Shape, _child_key, enumerate_shapes, parse_code
+from utk.shapes import Shape, _child_key, _Record, enumerate_shapes, parse_code
 
 __all__ = [
     "SearchLimits",
@@ -85,21 +84,19 @@ __all__ = [
     "check_depth_conjecture",
 ]
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(_Record):
     """Explicit resource budget; exceeding it yields a partial report."""
 
-    max_candidates: int | None = None
-    max_seconds: float | None = None
+    __slots__ = ("max_candidates", "max_seconds")
 
-    def __post_init__(self):
+    def __init__(self, max_candidates: int | None = None, max_seconds: float | None = None):
         # A nan budget would never fire: every comparison with it is false.
-        if self.max_seconds is not None and math.isnan(self.max_seconds):
+        if max_seconds is not None and math.isnan(max_seconds):
             raise ValueError("max_seconds must not be nan")
+        self._set(max_candidates, max_seconds)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Outcome of one minimal-universal search level.
 
     ``u_value`` is the exact minimum white-leaf count of an n-universal
@@ -109,18 +106,18 @@ class SearchReport:
     reason recorded).  ``candidates_examined`` counts universality tests.
     """
 
-    n: int
-    d: int
-    redleaf: bool
-    u_value: int | None
-    minimal_shapes: tuple[str, ...]
-    candidates_examined: int
-    wall_time: float
-    authoritative: bool = True
-    limit_reason: str | None = None
+    __slots__ = ("n", "d", "redleaf", "u_value", "minimal_shapes", "candidates_examined",
+                 "wall_time", "authoritative", "limit_reason")
+
+    def __init__(self, n: int, d: int, redleaf: bool, u_value: int | None,
+                 minimal_shapes: tuple[str, ...], candidates_examined: int, wall_time: float,
+                 authoritative: bool = True, limit_reason: str | None = None):
+        self._set(n, d, redleaf, u_value, minimal_shapes, candidates_examined, wall_time,
+                  authoritative, limit_reason)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in declaration order."""
+        return dict(zip(self.__slots__, self._fields()))
 
 
 class ResourceLimit(Exception):

@@ -48,9 +48,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Shape",
@@ -148,6 +147,14 @@ class Shape:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Shape is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Shape is immutable")
+
+    def __reduce__(self):
+        # Pickled as its code: the default slot state would be restored
+        # through ``__setattr__``, which refuses.
+        return parse_code, (self.code, self.arity)
+
     @property
     def is_leaf(self) -> bool:
         return not self.children
@@ -170,19 +177,63 @@ class Shape:
         return f"Shape({self.code!r})"
 
 
-@dataclass(frozen=True)
-class JellyfishSpec:
+class _Record:
+    """Base of utk's small value records (``JellyfishSpec``, ``SearchReport``,
+    ``Tanglegram``, ...).
+
+    A record names its fields in ``__slots__`` and stores them from its own
+    ``__init__`` with ``_set``, positionally in slot order.  It is
+    immutable, equal only to a record of the same class with equal fields,
+    hashed by its fields, printed as ``Name(field=value, ...)`` and pickled
+    as a call of its class on its fields.  These are plain classes, not
+    dataclasses: generating the dataclass methods and importing
+    ``dataclasses`` took longer than running the rest of utk's module bodies
+    at every start-up.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class JellyfishSpec(_Record):
     """Parameters of a jellyfish tree: a complete binary tree of height ``h``
     with a caterpillar of ``ell`` leaves hanging from each of its leaves."""
 
-    h: int
-    ell: int
+    __slots__ = ("h", "ell")
 
-    def __post_init__(self):
-        if self.h < 0:
+    def __init__(self, h: int, ell: int):
+        if h < 0:
             raise ValueError("jellyfish height must be >= 0")
-        if self.ell < 2:
+        if ell < 2:
             raise ValueError("jellyfish caterpillar size must be >= 2")
+        self._set(h, ell)
 
 
 # --------------------------------------------------------------------------- #

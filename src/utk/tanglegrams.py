@@ -46,12 +46,12 @@ and the binary k = 4 table fills up at 7 * 21 = 147 keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from utk.shapes import (
     Shape,
+    _Record,
     _dot_tree,
     _postorder,
     enumerate_shapes,
@@ -75,22 +75,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tanglegram:
-    left: Shape
-    right: Shape
-    matching: tuple[int, ...]
+class Tanglegram(_Record):
+    __slots__ = ("left", "right", "matching")
 
-    def __post_init__(self):
-        if self.left.has_red or self.right.has_red:
+    def __init__(self, left: Shape, right: Shape, matching: tuple[int, ...]):
+        if left.has_red or right.has_red:
             raise ValueError("tanglegram trees must be white-only")
-        if self.left.arity != self.right.arity:
+        if left.arity != right.arity:
             raise ValueError("tanglegram trees must share an arity bound")
-        n = self.left.white_leaves
-        if self.right.white_leaves != n:
+        n = left.white_leaves
+        if right.white_leaves != n:
             raise ValueError("tanglegram trees must have equally many leaves")
-        if sorted(self.matching) != list(range(n)):
+        if sorted(matching) != list(range(n)):
             raise ValueError("matching must be a permutation of the leaf positions")
+        self._set(left, right, matching)
 
     @property
     def size(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import pathlib
 from functools import lru_cache
 
 import pytest
@@ -14,8 +15,12 @@ from utk.bounds import (
     quad_upper,
     tangle_lower,
 )
+from utk.constructions import build_universal
 from utk.embedding import mast
+from utk.search import find_min_universal_chain, is_universal
 from utk.shapes import jellyfish, parse_code
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +161,10 @@ class TestBoundTable:
         assert rows[12]["u_known"] == 28
         assert rows[12]["kalmar"] == 28
         assert rows[13]["u_known"] is None
-        assert KNOWN_UPPER_BOUND == {}
-        assert all(row["u_upper"] is None for row in rows.values())
+        assert KNOWN_UPPER_BOUND == {13: 35, 14: 40, 15: 40}
+        assert rows[13]["u_upper"] == 35
+        assert all(row["u_upper"] is None for n, row in rows.items() if n < 13)
+        assert [row["u_upper"] for row in bound_table(16)[12:]] == [35, 40, 40, None]
 
     def test_chung_only_at_powers_of_two(self):
         rows = bound_table(16)
@@ -180,3 +187,36 @@ class TestBoundTable:
 
         assert main(["bounds", "--to", "50000", "--json"]) == 0
         assert capsys.readouterr().out.count('"n": ') == 50000
+
+
+class TestUpperBoundWitnesses:
+    """Each value of KNOWN_UPPER_BOUND has a fixture witness: an n-universal
+    shape of that size, rebuilt here from the recursion with the smallest
+    known universal and redleaf shapes as its parts."""
+
+    WITNESS = {13: "witness_13_upper.code", 14: "witness_15_upper.code",
+               15: "witness_15_upper.code"}
+
+    def test_every_bound_has_a_witness(self):
+        assert set(self.WITNESS) == set(KNOWN_UPPER_BOUND)
+
+    @pytest.mark.parametrize("n", sorted(WITNESS))
+    def test_witness_is_universal_at_the_bound(self, n):
+        witness = parse_code((FIXTURES / self.WITNESS[n]).read_text().strip())
+        assert witness.white_leaves == KNOWN_UPPER_BOUND[n]
+        assert KNOWN_UPPER_BOUND[n] < naive_upper(n)
+        assert is_universal(witness, n)
+
+    def test_witnesses_rebuild_from_the_smallest_parts(self):
+        white = {n: parse_code((FIXTURES / f"universal_catalog_n{n:02d}.codes")
+                               .read_text().split()[0]) for n in range(4, 12)}
+        white[12] = parse_code((FIXTURES / "witness_12_universal.code").read_text().strip())
+        red = {r.n: parse_code(r.minimal_shapes[0])
+               for r in find_min_universal_chain(7, redleaf=True)}
+
+        def parts(m, redleaf):
+            return (red if redleaf else white).get(m)
+
+        for n, name in self.WITNESS.items():
+            built = build_universal(n, parts=parts)
+            assert built.code == (FIXTURES / name).read_text().strip()

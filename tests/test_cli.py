@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from utk.cli import MAX_COUNT_N, MAX_LISTED_SHAPES, main
+from utk.cli import MAX_BOUNDS_N, MAX_COUNT_N, MAX_LISTED_SHAPES, main
 from utk.constructions import build_universal
 from utk.shapes import caterpillar, parse_code
 
@@ -326,6 +326,23 @@ class TestBounds:
             code, out, err = run_cli(capsys, "bounds", "--to", value)
             assert (code, out) == (2, "")
             assert err == "utk: --to must be at least 1\n"
+
+    def test_to_above_the_cap_is_refused_before_any_table(self, capsys):
+        for value in (MAX_BOUNDS_N + 1, 10**20):
+            code, out, err = run_cli(capsys, "bounds", "--to", str(value))
+            assert (code, out) == (2, "")
+            assert err == f"utk: bounds takes --to up to {MAX_BOUNDS_N}, got {value}\n"
+
+    def test_upper_bounds_only_in_json(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--to", "16", "--json")
+        rows = json.loads(out)["rows"]
+        assert {row["n"]: row["u_upper"] for row in rows if row["u_upper"]} == {
+            13: 35, 14: 40, 15: 40}
+        # The text and csv tables have no upper-bound column.
+        _, text, _ = run_cli(capsys, "bounds", "--to", "16")
+        assert text.splitlines()[13].split() == ["13", "-", "57", "113", "-", "29"]
+        _, csv, _ = run_cli(capsys, "bounds", "--to", "16", "--format", "csv")
+        assert csv.splitlines()[13] == "13,,57,113,,29"
 
 
 class TestTangleCommands:

@@ -4,7 +4,7 @@ message, never a traceback."""
 
 import pytest
 
-from utk.cli import MAX_BUILD_LEAVES, MAX_COUNT_N, main
+from utk.cli import MAX_BOUNDS_N, MAX_BUILD_LEAVES, MAX_COUNT_N, main
 from utk.shapes import caterpillar, to_newick
 
 HUGE = str(10**20)
@@ -36,6 +36,8 @@ CASES = (
     )]
     + [(cmd, "-n", n) for cmd in ("search", "build", "tangle-enumerate") for n in ("0", "-1")]
     + [("build", "-n", HUGE, "--kind", kind) for kind in BUILD_KINDS]
+    + [("bounds", "--to", to, *fmt) for to in (HUGE, str(MAX_BOUNDS_N + 1))
+       for fmt in ((), ("--json",), ("--format", "csv"))]
     # "--max-seconds=-inf": as a separate word, argparse reads "-inf" as an option.
     + [("search", "-n", "5", f"--max-seconds={value}") for value in ("nan", "inf", "-inf", "-1", "0")]
     + [("search", "-n", "8", "--max-candidates", "5", *extra)
@@ -72,6 +74,7 @@ def test_every_input_ends_in_a_documented_exit(capsys, argv):
     ("search", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE, "--count"),
+    ("bounds", "--to", HUGE),
 ], ids=lambda argv: " ".join(argv)[:60])
 def test_huge_n_is_refused_before_work(capsys, argv):
     # A size that would exhaust memory or the recursion limit is a usage
@@ -79,7 +82,7 @@ def test_huge_n_is_refused_before_work(capsys, argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    limit = MAX_BUILD_LEAVES if argv[0] == "build" else MAX_COUNT_N
+    limit = {"build": MAX_BUILD_LEAVES, "bounds": MAX_BOUNDS_N}.get(argv[0], MAX_COUNT_N)
     assert err.startswith("utk: ") and str(limit) in err, err
 
 

@@ -138,9 +138,9 @@ class TestFamilies:
         assert caterpillar(1) == complete_tree(0) == make_leaf()
 
     def test_jellyfish_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="caterpillar size must be >= 2"):
             JellyfishSpec(h=1, ell=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="height must be >= 0"):
             JellyfishSpec(h=-1, ell=2)
         assert jellyfish(JellyfishSpec(1, 4)).white_leaves == 8
 

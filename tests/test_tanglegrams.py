@@ -103,12 +103,14 @@ def empty_table():
 
 class TestTanglegramModel:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equally many leaves"):
             Tanglegram(caterpillar(2), caterpillar(3), (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="permutation"):
             Tanglegram(caterpillar(2), caterpillar(2), (0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="white-only"):
             Tanglegram(join([make_leaf(), make_leaf("red")]), caterpillar(2), (0, 1))
+        with pytest.raises(ValueError, match="arity"):
+            Tanglegram(caterpillar(2), caterpillar(2, arity=3), (0, 1))
 
     def test_text_roundtrip(self):
         t = Tanglegram(caterpillar(3), caterpillar(3), (2, 0, 1))
