@@ -74,9 +74,17 @@ EXIT_RESOURCE_LIMIT = 3
 
 # ``enumerate --count`` counts without listing, in about min(d, n)·n²·log n
 # big-int steps: at this n, 0.03 s for d = 2 and 1.6 s for d >= n.  The
-# commands that list every shape up to n (``enumerate``, ``search``,
-# ``tangle-enumerate``) refuse a larger n before they start.
+# commands that list every shape up to n (``enumerate``, ``search``) refuse
+# a larger n before they start.
 MAX_COUNT_N = 100
+
+# Listing the tanglegram classes of size n scans W(n)²·n! matchings, W(n)
+# the number of shapes: binary n = 7 takes about 1.2 s and 22 MB, n = 8
+# about 50 s and 190 MB for 535,753 classes, and n = 9 would scan about 36
+# times as many for 13.3 M classes, half an hour and several GB.  So
+# ``tangle-enumerate`` refuses a larger n, and so does ``tangle-check``
+# where it would list them.
+MAX_TANGLE_N = 8
 
 # ``search`` holds every shape of 1..n white leaves (with ``--redleaf`` also
 # every redleaf shape of 0..n) and listing ``enumerate`` every shape of n,
@@ -102,11 +110,15 @@ class _CliError(Exception):
 
 
 def _write(text: str, path: str | None) -> None:
-    if path and path != "-":
+    text = text if text.endswith("\n") else text + "\n"
+    if not path or path == "-":
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as out:
-            out.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            out.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_source(source: str) -> str:
@@ -416,8 +428,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tangle_enumerate(args) -> int:
-    if args.n > MAX_COUNT_N:
-        raise _CliError(f"tangle-enumerate takes -n up to {MAX_COUNT_N}, got {args.n}")
+    if args.n > MAX_TANGLE_N:
+        raise _CliError(f"tangle-enumerate takes -n up to {MAX_TANGLE_N}, got {args.n}")
     classes = list(enumerate_tanglegrams(args.n, args.d))
     if args.format == "json":
         payload = {"n": args.n, "d": args.d, "count": len(classes)}
@@ -437,6 +449,9 @@ def _cmd_tangle_check(args) -> int:
         tangle = parse_tanglegram(_read_source(args.tanglegram), args.d)
     except ValueError as exc:
         raise _CliError(f"cannot parse tanglegram: {exc}") from exc
+    if args.n > MAX_TANGLE_N and tangle.size >= args.n:  # else it is NOT universal at once
+        raise _CliError(f"tangle-check takes -n up to {MAX_TANGLE_N} for this tanglegram, "
+                        f"got {args.n}")
     universal = is_universal_tanglegram(tangle, args.n)
     if args.format == "json":
         _write(

@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import itemgetter
 
 # ``perfbench/run.py --trace 1`` wraps ``is_induced_subtree`` where this
@@ -411,7 +411,8 @@ class _BinaryEngine:
     keeps a 0 column.
 
     A sweep over size m ANDs the target patterns' group columns and stops
-    at the first empty result; the bits left are the winners.  The targets
+    at the first empty result; the bits left are the winners, each named
+    by its host index in layer m, which ``code`` decodes.  The targets
     are ANDed in ``orders[k]``, one order per level k shared by every sweep
     and group of the level: it starts as ``target_pids(k)``, deepest
     pattern first, and each target that empties an AND moves to its front
@@ -472,9 +473,6 @@ class _BinaryEngine:
         # Per level k, the order in which sweeps AND the targets (see
         # ``_all_of``), shared by every sweep of the level.
         self.orders: dict[int, list[int]] = {}
-        # Each group's kernel, as the sweeps read it, until a layer is next
-        # stored (a kernel reads its parts' columns).
-        self.kernels: dict[_Group, Callable[[int], int]] = {}
         # u(k) (redleaf: u_red(k)) of each level k decided so far, which
         # the part lemmas read (see ``_hopeless``); a level not recorded
         # prunes nothing.
@@ -548,7 +546,6 @@ class _BinaryEngine:
                     col = col << width | piece(p)
             cols[p] = col
         layer.store(cols)
-        self.kernels.clear()
 
     def _kernel(self, group: _Group, compact: bool = False) -> Callable[[int], int]:
         """``piece(p)``: pattern p's column over the square of ``group`` by
@@ -626,40 +623,28 @@ class _BinaryEngine:
 
     # -- code materialization ---------------------------------------------- #
 
-    def white_code(self, m: int, idx: int) -> str:
-        if m == 1:
-            return "o"
-        i, a, b = self.white_layers[m].locate(idx)
-        return _parent_code(self.white_code(i, a), self.white_code(m - i, b))
-
-    def red_code(self, m: int, idx: int) -> str:
-        if m == 0:
-            return "r"
-        i, a, b = self.red_layers[m].locate(idx)
-        return _parent_code(self.red_code(i, a), self.white_code(m - i, b))
-
-    def pair_code(self, m: int, pair: tuple[int, int, int]) -> str:
-        if not self.redleaf and m == 1:
-            return "o"
-        i, a, b = pair
-        first = self.red_code(i, a) if self.redleaf else self.white_code(i, a)
-        return _parent_code(first, self.white_code(m - i, b))
+    def code(self, m: int, h: int, red: bool) -> str:
+        """The code of host h of layer m (red: of the red layers)."""
+        if m == (0 if red else 1):
+            return "r" if red else "o"
+        i, a, b = (self.red_layers if red else self.white_layers)[m].locate(h)
+        return _parent_code(self.code(i, a, red), self.code(m - i, b, False))
 
     # -- candidate sweeps ---------------------------------------------------#
 
     def minimal_codes(self, m: int, k: int, budget: _Budget) -> list[str]:
         """Codes of the k-universal size-m shapes."""
-        return [self.pair_code(m, pair) for pair in self.sweep(m, k, budget)]
+        return [self.code(m, h, self.redleaf) for h in self.sweep(m, k, budget)]
 
-    def sweep(self, m: int, k: int, budget: _Budget) -> list[tuple[int, int, int]]:
-        """Test every size-m candidate for k-universality; exhaustive.  The
-        two highest layers of each kind the sweep reads (white m - 1 and
-        m - 2; redleaf: red m - 1 and m - 2, white m and m - 1) are
+    def sweep(self, m: int, k: int, budget: _Budget) -> list[int]:
+        """The hosts of layer m that are k-universal, by index; exhaustive.
+        The two highest layers of each kind the sweep reads (white m - 1
+        and m - 2; redleaf: red m - 1 and m - 2, white m and m - 1) are
         streamed unless they are already stored; the layers below them
-        are stored first."""
+        are stored first.  Each group spends its ``size`` in the budget."""
         if not self.redleaf and m == 1:
             budget.spend(1)
-            return [(0, 0, 0)] if k == 1 else []
+            return [0] if k == 1 else []
         if self.redleaf:
             self.ensure_red_layer(max(m - 3, 0), budget)
             self.ensure_white_layer(max(m - 2, 1), budget)
@@ -668,16 +653,11 @@ class _BinaryEngine:
         order = self.orders.get(k)
         if order is None:
             order = self.orders[k] = self.target_pids(k)
-        winners: list[tuple[int, int, int]] = []
-        for group in self._layer(m, self.redleaf, budget).groups:
-            i = group.i
-            hits = self._survivors(group, order, budget, k)
-            pairs = [divmod(pos, group.width) for pos in hits]
-            if group.tie:
-                pairs = [(a, b) for a, b in pairs if b >= a]
-            winners += [(i, a, b) if group.fixed_first else (i, b, a) for a, b in pairs]
-            for examined in self._chunk_space(m, i):
-                budget.spend(examined)
+        winners: list[int] = []
+        layer = self._layer(m, self.redleaf, budget)
+        for offset, group in zip(layer.offsets, layer.groups):
+            winners += [offset + pos for pos in self._survivors(group, order, budget, k)]
+            budget.spend(group.size)
         return winners
 
     def _hopeless(self, group: _Group, need: int | None) -> bool:
@@ -704,9 +684,10 @@ class _BinaryEngine:
 
     def _survivors(self, group: _Group, order: list[int], budget: _Budget,
                    need: int) -> list[int]:
-        """Positions in ``group``'s square of the hosts that contain every
-        target: the targets' kernel pieces ANDed in ``order`` up to the
-        first empty result (``_all_of``, which also learns the order).
+        """Positions among ``group``'s hosts (a tie's kept ones) of those
+        that contain every target: the targets' kernel pieces ANDed in
+        ``order`` up to the first empty result (``_all_of``, which also
+        learns the order).
         ``need`` is the targets' level k: a group the part lemmas rule out
         (``_hopeless``) has none and is not read.
 
@@ -721,20 +702,12 @@ class _BinaryEngine:
         reads those columns, and its AND decides.  Where the lemmas ask a
         walked layer's hosts to be universal at a lower level
         (``_inner_need``), its groups are tested at that level and the
-        hopeless ones skipped.  Each group's kernel is built once and kept
-        in ``self.kernels`` until a layer is next stored."""
+        hopeless ones skipped.  Each kernel is built where it is read."""
         if self._hopeless(group, need):
             return []
-        kernels = self.kernels
-
-        def kernel(g: _Group) -> Callable[[int], int]:
-            piece = kernels.get(g)
-            if piece is None:
-                piece = kernels[g] = self._kernel(g)
-            return piece
-
         if group.other.cols is not None:
-            return _positions(_all_of(kernel(group), order, group.ones), 0)
+            acc = _all_of(self._kernel(group), order, group.ones)
+            return _positions(group.triangle(acc) if group.tie else acc, 0)
         hits: list[int] = []
 
         def walk(layer: _Layer, plan: _Plan, base: int, need: int | None) -> None:
@@ -752,7 +725,7 @@ class _BinaryEngine:
                 if self._hopeless(inner, need):
                     continue
                 budget.check_time()
-                piece, ones = kernel(inner), inner.ones
+                piece, ones = self._kernel(inner), inner.ones
                 if inner.other.cols is None:
                     walk(inner.other, _Plan(plan, piece), base + offset,
                          self._inner_need(inner, need))
@@ -762,18 +735,8 @@ class _BinaryEngine:
                     acc = inner.triangle(acc)
                 hits.extend(_positions(acc, base + offset))
 
-        walk(group.other, _Plan(None, kernel(group)), 0, self._inner_need(group, need))
+        walk(group.other, _Plan(None, self._kernel(group)), 0, self._inner_need(group, need))
         return hits
-
-    def _chunk_space(self, m: int, i: int, block: int = 8192) -> Iterator[int]:
-        """Candidates per chunk of group i, ``block`` hosts of the first
-        part at a time: the sweep spends its budget in these amounts."""
-        first = self.red_layers[i] if self.redleaf else self.white_layers[i]
-        n_second = self.white_layers[m - i].size
-        same = not self.redleaf and 2 * i == m
-        for lo in range(0, first.size, block):
-            hi = min(lo + block, first.size)
-            yield (hi - lo) * n_second - ((lo + hi - 1) * (hi - lo) // 2 if same else 0)
 
 
 def _parent_code(ca: str, cb: str) -> str:

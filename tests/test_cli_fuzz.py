@@ -4,12 +4,15 @@ message, never a traceback."""
 
 import pytest
 
-from utk.cli import MAX_BOUNDS_N, MAX_BUILD_LEAVES, MAX_COUNT_N, main
+from utk.cli import MAX_BOUNDS_N, MAX_BUILD_LEAVES, MAX_COUNT_N, MAX_TANGLE_N, main
 from utk.shapes import caterpillar, to_newick
 
 HUGE = str(10**20)
 DEEP = caterpillar(700)
 TANGLE = "(x,(x,x));|((x,x),x);|0 1 2"
+# A tanglegram with MAX_TANGLE_N + 1 leaves a side: two caterpillars.
+WIDE = MAX_TANGLE_N + 1
+WIDE_TANGLE = "|".join((to_newick(caterpillar(WIDE)),) * 2 + (" ".join(map(str, range(WIDE))),))
 BUILD_KINDS = ("universal", "redleaf", "comb", "tanglegram")
 
 MALFORMED_CODES = ["", "(", ")", "((oo)", "(oo))", "()", "(()o)", "(o)", "oo", "(ox)",
@@ -74,16 +77,50 @@ def test_every_input_ends_in_a_documented_exit(capsys, argv):
     ("search", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE),
     ("tangle-enumerate", "-n", HUGE, "--count"),
+    ("tangle-enumerate", "-n", str(WIDE)),
+    ("tangle-enumerate", "-n", str(WIDE), "--count", "--json"),
+    ("tangle-check", WIDE_TANGLE, "-n", str(WIDE)),
     ("bounds", "--to", HUGE),
 ], ids=lambda argv: " ".join(argv)[:60])
 def test_huge_n_is_refused_before_work(capsys, argv):
-    # A size that would exhaust memory or the recursion limit is a usage
-    # error that names the limit, found before anything is built or listed.
+    # A size that would exhaust memory, time or the recursion limit is a
+    # usage error that names the limit, found before anything is built or
+    # listed.
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    limit = {"build": MAX_BUILD_LEAVES, "bounds": MAX_BOUNDS_N}.get(argv[0], MAX_COUNT_N)
+    limit = {"build": MAX_BUILD_LEAVES, "bounds": MAX_BOUNDS_N, "tangle-enumerate": MAX_TANGLE_N,
+             "tangle-check": MAX_TANGLE_N}.get(argv[0], MAX_COUNT_N)
     assert err.startswith("utk: ") and str(limit) in err, err
+
+
+def test_small_tanglegram_gets_its_verdict_at_any_n(capsys):
+    # A tanglegram with fewer than n leaves a side lists no class.
+    assert main(["tangle-check", WIDE_TANGLE, "-n", str(WIDE + 1)]) == 1
+    assert "NOT universal" in capsys.readouterr().out
+
+
+WRITING = [
+    ("enumerate", "-n", "3"),
+    ("check", "((oo)(oo))", "-n", "3"),
+    ("build", "-n", "2"),
+    ("search", "-n", "3"),
+    ("search", "-n", "3", "--chain", "--json"),
+    ("mast", "(oo)", "(oo)"),
+    ("bounds", "--to", "3"),
+    ("tangle-enumerate", "-n", "3"),
+    ("tangle-check", TANGLE, "-n", "2"),
+]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("argv", WRITING, ids=lambda argv: " ".join(argv))
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, where):
+    path = str(tmp_path / "missing" / "out" if where == "missing directory" else tmp_path)
+    code = main([*argv, "-o", path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"utk: cannot write {path}: ") and err.count("\n") == 1, err
 
 
 def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):

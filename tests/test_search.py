@@ -17,6 +17,7 @@ from utk.search import (
 from utk.shapes import (
     caterpillar,
     complete_tree,
+    count_shapes,
     enumerate_shapes,
     join,
     make_leaf,
@@ -195,7 +196,7 @@ class TestEngineBitsets:
             assert layer.size == len(list(enumerate_shapes(m)))
             codes = set()
             for idx, bits in enumerate(_rows(layer)):
-                host = parse_code(engine.white_code(m, idx))
+                host = parse_code(engine.code(m, idx, False))
                 codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
                     assert bool(bits >> pid & 1) == is_induced_subtree(pattern, host)
@@ -226,7 +227,7 @@ class TestEngineBitsets:
             assert layer.size == len(list(enumerate_shapes(m, redleaf=True)))
             codes = set()
             for idx, bits in enumerate(_rows(layer)):
-                host = parse_code(engine.red_code(m, idx))
+                host = parse_code(engine.code(m, idx, True))
                 codes.add(host.code)
                 for pid, pattern in enumerate(patterns):
                     expected = pid in red_pids and is_induced_subtree(pattern, host)
@@ -422,7 +423,7 @@ class TestStreamedTopLayer:
         from utk.search import _Budget
 
         budget = _Budget(None)
-        codes = sorted(engine.pair_code(m, pair) for pair in engine.sweep(m, k, budget))
+        codes = sorted(engine.code(m, h, engine.redleaf) for h in engine.sweep(m, k, budget))
         return codes, budget.examined
 
     @staticmethod
@@ -711,6 +712,13 @@ class TestRedleafSearch:
             for code in report.minimal_shapes:
                 assert is_universal(parse_code(code), report.n, redleaf=True)
 
+    def test_catalogs_to_7_match_fixtures(self):
+        chain = find_min_universal_chain(7, redleaf=True)
+        assert [r.u_value for r in chain] == RED_U_TO_7
+        for report in chain:
+            expected = catalog_fixture(f"universal_catalog_redleaf_n{report.n:02d}.codes")
+            assert report.minimal_shapes == expected, report.n
+
     def test_redleaf_dominates_white(self):
         # A redleaf-universal shape restricted to white patterns is still
         # universal, so the redleaf minimum can never be smaller.
@@ -731,6 +739,13 @@ class TestDarySearch:
         report = find_min_universal(4, d=4)
         for code in report.minimal_shapes:
             assert is_universal(parse_code(code, arity=4), 4, d=4)
+
+    def test_3ary_catalogs_to_5_match_fixtures(self):
+        chain = find_min_universal_chain(5, d=3)
+        assert [r.u_value for r in chain] == [1, 2, 4, 6, 8]
+        for report in chain:
+            expected = catalog_fixture(f"universal_catalog_d3_n{report.n}.codes")
+            assert report.minimal_shapes == expected, report.n
 
     def test_3ary_chain(self):
         chain = find_min_universal_chain(4, d=3)
@@ -769,6 +784,20 @@ class TestLimits:
             report = chain[-1]
             assert (report.n, report.candidates_examined, report.limit_reason) == last
             assert report.u_value is None and not report.authoritative
+
+    @pytest.mark.parametrize("n, d, redleaf", [(9, 2, False), (6, 2, True), (5, 3, False)])
+    def test_budget_counts_every_swept_shape(self, n, d, redleaf):
+        # Level k sweeps the sizes m = max(k, u(k - 1)) .. u(k) and tests
+        # every shape of each once, so its count is the shape count of
+        # those sizes, by a recurrence that lists nothing.  White level 8:
+        # 3918 = 98 + 207 + 451 + 983 + 2179.
+        chain = find_min_universal_chain(n, d, redleaf)
+        previous = 1
+        for k, report in enumerate(chain, start=1):
+            sizes = range(max(k, previous), report.u_value + 1)
+            assert report.candidates_examined == sum(
+                count_shapes(m, d, redleaf) for m in sizes), k
+            previous = report.u_value
 
     def test_nan_time_limit_is_rejected(self):
         # A nan budget compares false with every elapsed time, so it would
@@ -843,7 +872,6 @@ class TestRedleafEightBound:
         # sweep up to 24 comes out empty, so u_red(8) >= 25.  Each sweep
         # tests every redleaf shape of its size once.
         from utk.search import _BinaryEngine, _Budget
-        from utk.shapes import count_shapes
 
         engine = _BinaryEngine(8, redleaf=True)
         engine.u = dict(enumerate(RED_U_TO_7, start=1))

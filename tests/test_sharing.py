@@ -9,6 +9,7 @@ position) and against the brute-force oracles."""
 
 import itertools
 import pathlib
+import re
 
 import pytest
 
@@ -69,7 +70,8 @@ def assert_one_object_per_subtree(shape: Shape) -> None:
 def fixture_codes() -> list[tuple[str, int]]:
     out = []
     for path in sorted(FIXTURES.glob("*.code*")):
-        arity = 4 if "_d4_" in path.name else 2
+        found = re.search(r"_d(\d+)_", path.name)  # universal_catalog_d4_n4.codes: 4
+        arity = int(found[1]) if found else 2
         out += [(line, arity) for line in path.read_text().split()]
     return out
 
