@@ -11,8 +11,12 @@ Batch commands over the library, one subcommand per area:
 - ``tangle-enumerate`` stream tanglegram classes of a given size
 - ``tangle-check``     is a given tanglegram n-universal?
 
-Every command accepts ``--format json`` (``--json`` for short); the JSON
-payloads are plain dicts whose keys are stable:
+Each command returns its exit code, a JSON payload and a text, and
+``main`` writes one of them once, at the end: the payload under ``--format
+json`` (``--json`` for short), the text otherwise, to stdout or to ``-o
+FILE``.  ``main`` refuses an ``-o`` path it could not write before the
+command starts, and a command that stops with an error writes nothing.
+The payloads are plain dicts whose keys are stable:
 
 - enumerate: {n, d, redleaf, count, codes?}
 - check:     {code, n, d, redleaf, white_leaves, universal}
@@ -33,6 +37,7 @@ Exit codes: 0 ok, 1 check failed, 2 usage/parse error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -83,7 +88,8 @@ MAX_COUNT_N = 100
 # about 50 s and 190 MB for 535,753 classes, and n = 9 would scan about 36
 # times as many for 13.3 M classes, half an hour and several GB.  So
 # ``tangle-enumerate`` refuses a larger n, and so does ``tangle-check``
-# where it would list them.
+# where it would list them; for d >= 3 they refuse any n whose scan is
+# longer than the binary one at this n (ternary n = 7 takes about 36 s).
 MAX_TANGLE_N = 8
 
 # ``search`` holds every shape of 1..n white leaves (with ``--redleaf`` also
@@ -107,6 +113,24 @@ MAX_BOUNDS_N = 100_000
 
 class _CliError(Exception):
     pass
+
+
+def _check_output(path: str | None) -> None:
+    """Usage error before any work if ``-o path`` could not be written: a
+    directory, a missing directory or no write permission.  Nothing is
+    created or changed; ``_write`` writes the file at the end."""
+    if not path or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        error = errno.EISDIR
+    elif not os.path.isdir(parent):
+        error = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        error = errno.EACCES
+    else:
+        return
+    raise _CliError(f"cannot write {path}: {os.strerror(error)}")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -166,65 +190,39 @@ def _dump(data: dict | list) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Subcommands
+# Subcommands: each returns (exit code, JSON payload, text) and ``main``
+# writes the one that ``--format`` asks for.
 # --------------------------------------------------------------------------- #
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     if args.n > MAX_COUNT_N:
         name = "--count" if args.count else "enumerate"
         raise _CliError(f"{name} takes -n up to {MAX_COUNT_N}, got {args.n}")
+    payload = {"n": args.n, "d": args.d, "redleaf": args.redleaf}
     if args.count:
-        shapes, count = [], count_shapes(args.n, args.d, args.redleaf)
-    else:
-        _refuse_long_listing("enumerate", args.n, count_shapes(args.n, args.d, args.redleaf))
-        shapes = list(enumerate_shapes(args.n, args.d, args.redleaf))
-        count = len(shapes)
-    if args.format == "json":
-        payload = {"n": args.n, "d": args.d, "redleaf": args.redleaf, "count": count}
-        if not args.count:
-            payload["codes"] = [s.code for s in shapes]
-        _write(_dump(payload), args.output)
-        return EXIT_OK
-    if args.count:
-        _write(str(count), args.output)
-        return EXIT_OK
-    if args.format == "newick":
-        _write("\n".join(to_newick(s) for s in shapes), args.output)
-    else:
-        _write("\n".join(s.code for s in shapes), args.output)
-    return EXIT_OK
+        payload["count"] = count_shapes(args.n, args.d, args.redleaf)
+        return EXIT_OK, payload, str(payload["count"])
+    _refuse_long_listing("enumerate", args.n, count_shapes(args.n, args.d, args.redleaf))
+    shapes = list(enumerate_shapes(args.n, args.d, args.redleaf))
+    payload["count"], payload["codes"] = len(shapes), [s.code for s in shapes]
+    lines = map(to_newick, shapes) if args.format == "newick" else payload["codes"]
+    return EXIT_OK, payload, "\n".join(lines)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     shape = _parse_shape(_read_source(args.shape), args.d)
     if args.n >= 1 and shape.white_leaves >= args.n:  # else no pattern is listed
         if args.n > MAX_COUNT_N:
             raise _CliError(f"check takes -n up to {MAX_COUNT_N} for this host, got {args.n}")
         _refuse_long_listing("check", args.n, _listed_up_to(args.n, args.d, args.redleaf))
     universal = is_universal(shape, args.n, args.d, args.redleaf)
-    if args.format == "json":
-        _write(
-            _dump(
-                {
-                    "code": shape.code,
-                    "n": args.n,
-                    "d": args.d,
-                    "redleaf": args.redleaf,
-                    "white_leaves": shape.white_leaves,
-                    "universal": universal,
-                }
-            ),
-            args.output,
-        )
-    else:
-        verdict = "universal" if universal else "NOT universal"
-        _write(
-            f"{shape.code} ({shape.white_leaves} white leaves) is {verdict} "
-            f"for n={args.n}" + (" (redleaf)" if args.redleaf else ""),
-            args.output,
-        )
-    return EXIT_OK if universal else EXIT_CHECK_FAILED
+    payload = {"code": shape.code, "n": args.n, "d": args.d, "redleaf": args.redleaf,
+               "white_leaves": shape.white_leaves, "universal": universal}
+    text = (f"{shape.code} ({shape.white_leaves} white leaves) is "
+            f"{'universal' if universal else 'NOT universal'} for n={args.n}"
+            + (" (redleaf)" if args.redleaf else ""))
+    return (EXIT_OK if universal else EXIT_CHECK_FAILED), payload, text
 
 
 def _build_leaves(kind: str, n: int, d: int) -> int:
@@ -245,68 +243,29 @@ def _build_leaves(kind: str, n: int, d: int) -> int:
     return min(cap, {"universal": white, "redleaf": red, "tanglegram": white * white}[kind])
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple:
     leaves = _build_leaves(args.kind, args.n, args.d)
     if leaves > MAX_BUILD_LEAVES:
         raise _CliError(f"build -n {args.n} --kind {args.kind} would have more than "
                         f"{MAX_BUILD_LEAVES} leaves (a tanglegram: a side)")
+    payload = {"kind": args.kind, "n": args.n, "d": args.d}
     if args.kind == "tanglegram":
         tangle = build_universal_tanglegram(args.n, d=args.d)
-        if args.format == "json":
-            _write(
-                _dump(
-                    {
-                        "kind": "tanglegram",
-                        "n": args.n,
-                        "d": args.d,
-                        "size": tangle.size,
-                        "text": format_tanglegram(tangle),
-                    }
-                ),
-                args.output,
-            )
-        elif args.format == "dot":
-            _write(tanglegram_dot(tangle), args.output)
-        else:
-            _write(format_tanglegram(tangle), args.output)
-        return EXIT_OK
-
-    if args.kind == "universal":
-        shape = build_universal(args.n, args.d)
-    elif args.kind == "redleaf":
-        shape = build_universal_redleaf(args.n, args.d)
-    else:  # comb: -n is the doubling-sequence depth k
-        shape = build_redleaf_comb(args.n, args.d)
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "n": args.n,
-            "d": args.d,
-            "white_leaves": shape.white_leaves,
-            "code": shape.code,
-            "newick": to_newick(shape),
-        }
-        if args.trace and args.kind in ("universal", "redleaf"):
-            payload["trace"] = construction_trace(args.n, args.d, args.kind == "redleaf")
-        _write(_dump(payload), args.output)
-    elif args.format == "newick":
-        _write(to_newick(shape), args.output)
-    elif args.format == "dot":
-        _write(to_dot(shape), args.output)
-    else:
-        _write(shape.code, args.output)
-    return EXIT_OK
+        payload["size"], payload["text"] = tangle.size, format_tanglegram(tangle)
+        return EXIT_OK, payload, (tanglegram_dot(tangle) if args.format == "dot"
+                                  else payload["text"])
+    # comb: -n is the doubling-sequence depth k
+    build = {"universal": build_universal, "redleaf": build_universal_redleaf,
+             "comb": build_redleaf_comb}[args.kind]
+    shape = build(args.n, args.d)
+    payload.update(white_leaves=shape.white_leaves, code=shape.code, newick=to_newick(shape))
+    if args.trace and args.format == "json" and args.kind != "comb":  # as slow as the build
+        payload["trace"] = construction_trace(args.n, args.d, args.kind == "redleaf")
+    return EXIT_OK, payload, (to_dot(shape) if args.format == "dot" else
+                              payload["newick"] if args.format == "newick" else shape.code)
 
 
-def _report_dict(report, timing: bool) -> dict:
-    payload = report.to_dict()
-    if not timing:
-        # keep identical invocations byte-identical
-        payload.pop("wall_time")
-    return payload
-
-
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     if args.n > MAX_COUNT_N:
         raise _CliError(f"search takes -n up to {MAX_COUNT_N}, got {args.n}")
     if args.n >= 1 and args.d >= 2:  # else the search itself says what is wrong
@@ -315,62 +274,56 @@ def _cmd_search(args) -> int:
                         ("--max-seconds", args.max_seconds)):
         if value is not None and not 0 < value < math.inf:  # nan fails both
             raise _CliError(f"{name} must be positive and finite")
-    if (args.chain or args.table) and args.format == "codes":
+    chain = args.chain or args.table
+    if chain and args.format == "codes":
         raise _CliError("--format codes lists one level's shapes; "
                         "use it without --chain and --table")
     limits = None
     if args.max_candidates or args.max_seconds:
         limits = SearchLimits(args.max_candidates, args.max_seconds)
-    if args.chain or args.table:
+    if chain:
         reports = find_min_universal_chain(args.n, args.d, args.redleaf, limits)
         last = reports[-1]
-        partial = [] if last.authoritative else [
-            f"PARTIAL RESULT: stopped at level {last.n}: {last.limit_reason}"]
-        if args.format == "json":
-            _write(_dump([_report_dict(r, args.timing) for r in reports]), args.output)
-        elif args.table:
-            ns = [str(r.n) for r in reports]
-            kal = [str(row["kalmar"]) for row in bound_table(last.n)][: len(reports)]
-            us = [str(r.u_value) if r.u_value else "?" for r in reports]
-            width = max(len(x) for x in ns + kal + us) + 2
-            head = "n".ljust(8) + "".join(x.rjust(width) for x in ns)
-            row1 = "kalmar".ljust(8) + "".join(x.rjust(width) for x in kal)
-            row2 = "u(n)".ljust(8) + "".join(x.rjust(width) for x in us)
-            _write("\n".join((head, row1, row2, *partial)), args.output)
-        else:
-            lines = [
-                f"n={r.n}: u={'?' if r.u_value is None else r.u_value}"
-                f" ({len(r.minimal_shapes)} minimal shapes)"
-                for r in reports
-            ]
-            _write("\n".join(lines + partial), args.output)
-        return EXIT_OK if last.authoritative else EXIT_RESOURCE_LIMIT
-
-    report = find_min_universal(args.n, args.d, args.redleaf, limits)
-    if args.format == "json":
-        _write(_dump(_report_dict(report, args.timing)), args.output)
+        reason = f"stopped at level {last.n}: {last.limit_reason}"
+    else:  # a partial report's reason names its level
+        last = find_min_universal(args.n, args.d, args.redleaf, limits)
+        reports, reason = [last], last.limit_reason
+    code = EXIT_OK if last.authoritative else EXIT_RESOURCE_LIMIT
+    payload = [r.to_dict() for r in reports]
+    if not args.timing:  # keep identical invocations byte-identical
+        for fields in payload:
+            del fields["wall_time"]
+    payload = payload if chain else payload[0]
+    partial = [] if last.authoritative else [f"PARTIAL RESULT: {reason}"]
+    if args.table:
+        ns = [str(r.n) for r in reports]
+        kal = [str(row["kalmar"]) for row in bound_table(last.n)][: len(reports)]
+        us = [str(r.u_value) if r.u_value else "?" for r in reports]
+        width = max(len(x) for x in ns + kal + us) + 2
+        lines = [label.ljust(8) + "".join(x.rjust(width) for x in row)
+                 for label, row in (("n", ns), ("kalmar", kal), ("u(n)", us))]
+    elif args.chain:
+        lines = [f"n={r.n}: u={'?' if r.u_value is None else r.u_value}"
+                 f" ({len(r.minimal_shapes)} minimal shapes)" for r in reports]
     elif args.format == "codes":
-        if report.authoritative:
-            _write("\n".join(report.minimal_shapes), args.output)
-        else:  # the output holds codes only, and a partial report has none
-            print(f"PARTIAL RESULT: {report.limit_reason}", file=sys.stderr)
+        if partial:  # the output holds codes only, and a partial report has none
+            print(*partial, file=sys.stderr)
+            return code, payload, None
+        lines = list(last.minimal_shapes)
     else:
         lines = [
-            f"n={report.n} d={report.d}" + (" redleaf" if report.redleaf else ""),
-            f"u = {report.u_value if report.u_value is not None else 'unknown'}",
-            f"minimal shapes ({len(report.minimal_shapes)}):",
-            *(f"  {code}" for code in report.minimal_shapes),
-            f"candidates examined: {report.candidates_examined}",
+            f"n={last.n} d={last.d}" + (" redleaf" if last.redleaf else ""),
+            f"u = {last.u_value if last.u_value is not None else 'unknown'}",
+            f"minimal shapes ({len(last.minimal_shapes)}):",
+            *(f"  {c}" for c in last.minimal_shapes),
+            f"candidates examined: {last.candidates_examined}",
         ]
         if args.timing:
-            lines.append(f"wall time: {report.wall_time:.2f}s")
-        if not report.authoritative:
-            lines.append(f"PARTIAL RESULT: {report.limit_reason}")
-        _write("\n".join(lines), args.output)
-    return EXIT_OK if report.authoritative else EXIT_RESOURCE_LIMIT
+            lines.append(f"wall time: {last.wall_time:.2f}s")
+    return code, payload, "\n".join(lines + partial)
 
 
-def _cmd_mast(args) -> int:
+def _cmd_mast(args) -> tuple:
     if args.jelly:
         specs = []
         for token in args.jelly:
@@ -379,91 +332,71 @@ def _cmd_mast(args) -> int:
                 specs.append(JellyfishSpec(h, ell))
             except ValueError as exc:
                 raise _CliError(f"bad jellyfish spec {token!r}: {exc}") from exc
-        value = jellyfish_mast(*specs)
-        payload = {"mast": value, "jelly": [[s.h, s.ell] for s in specs]}
+        payload = {"mast": jellyfish_mast(*specs), "jelly": [[s.h, s.ell] for s in specs]}
     else:
         if len(args.shapes) != 2:
             raise _CliError("mast needs two shapes (or --jelly h,l h,l)")
-        left = _parse_shape(_read_source(args.shapes[0]), 2)
-        right = _parse_shape(_read_source(args.shapes[1]), 2)
-        value = mast(left, right)
-        payload = {"mast": value, "left": left.code, "right": right.code}
-    if args.format == "json":
-        _write(_dump(payload), args.output)
-    else:
-        _write(str(value), args.output)
-    return EXIT_OK
+        left, right = (_parse_shape(_read_source(text), 2) for text in args.shapes)
+        payload = {"mast": mast(left, right), "left": left.code, "right": right.code}
+    return EXIT_OK, payload, str(payload["mast"])
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple:
     if args.to < 1:
         raise _CliError("--to must be at least 1")
     if args.to > MAX_BOUNDS_N:
         raise _CliError(f"bounds takes --to up to {MAX_BOUNDS_N}, got {args.to}")
     rows = bound_table(args.to)
-    if args.format == "json":
-        _write(_dump({"rows": rows}), args.output)
-        return EXIT_OK
-    columns = ["n", "u_known", "naive_upper", "quad_upper", "chung_lower", "kalmar"]
+    columns = ("n", "u_known", "naive_upper", "quad_upper", "chung_lower", "kalmar")
+    # One cell table; an unknown value is an empty csv cell and a "-" in text.
+    cells = [columns, *(["" if row[c] is None else str(row[c]) for c in columns] for row in rows)]
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
-        _write("\n".join(lines), args.output)
-        return EXIT_OK
-    widths = {
-        c: max(len(c), *(len(str(row[c])) if row[c] is not None else 1 for row in rows))
-        for c in columns
-    }
-    lines = ["  ".join(c.rjust(widths[c]) for c in columns)]
-    for row in rows:
-        lines.append(
-            "  ".join(
-                ("-" if row[c] is None else str(row[c])).rjust(widths[c])
-                for c in columns
-            )
-        )
-    _write("\n".join(lines), args.output)
-    return EXIT_OK
+        return EXIT_OK, {"rows": rows}, "\n".join(",".join(line) for line in cells)
+    widths = [max(len(line[i] or "-") for line in cells) for i in range(len(columns))]
+    text = "\n".join("  ".join((cell or "-").rjust(width) for cell, width in zip(line, widths))
+                     for line in cells)
+    return EXIT_OK, {"rows": rows}, text
 
 
-def _cmd_tangle_enumerate(args) -> int:
-    if args.n > MAX_TANGLE_N:
-        raise _CliError(f"tangle-enumerate takes -n up to {MAX_TANGLE_N}, got {args.n}")
+def _refuse_long_tangle_listing(command: str, n: int, d: int, host: str = "") -> None:
+    """Usage error if listing the size-n tanglegram classes would scan more
+    matchings, count_shapes(n, d)²·n!, than the binary listing at
+    MAX_TANGLE_N does: that allows n up to 8 for d = 2, 7 for d = 3 and 6
+    for d >= 4.  Below d = 2 the binary cap holds and the library names
+    the bad arity."""
+    def scan(m: int, arity: int) -> int:
+        return count_shapes(m, arity) ** 2 * math.factorial(m)
+
+    cap = MAX_TANGLE_N
+    while d > 2 and scan(cap, d) > scan(MAX_TANGLE_N, 2):
+        cap -= 1
+    if n > cap:
+        arity = f" with -d {d}" if d > 2 else ""
+        raise _CliError(f"{command} takes -n up to {cap}{host}{arity}, got {n}")
+
+
+def _cmd_tangle_enumerate(args) -> tuple:
+    _refuse_long_tangle_listing("tangle-enumerate", args.n, args.d)
     classes = list(enumerate_tanglegrams(args.n, args.d))
-    if args.format == "json":
-        payload = {"n": args.n, "d": args.d, "count": len(classes)}
-        if not args.count:
-            payload["tanglegrams"] = [format_tanglegram(t) for t in classes]
-        _write(_dump(payload), args.output)
-        return EXIT_OK
+    payload = {"n": args.n, "d": args.d, "count": len(classes)}
     if args.count:
-        _write(str(len(classes)), args.output)
-        return EXIT_OK
-    _write("\n".join(format_tanglegram(t) for t in classes), args.output)
-    return EXIT_OK
+        return EXIT_OK, payload, str(len(classes))
+    payload["tanglegrams"] = [format_tanglegram(t) for t in classes]
+    return EXIT_OK, payload, "\n".join(payload["tanglegrams"])
 
 
-def _cmd_tangle_check(args) -> int:
+def _cmd_tangle_check(args) -> tuple:
     try:
         tangle = parse_tanglegram(_read_source(args.tanglegram), args.d)
     except ValueError as exc:
         raise _CliError(f"cannot parse tanglegram: {exc}") from exc
-    if args.n > MAX_TANGLE_N and tangle.size >= args.n:  # else it is NOT universal at once
-        raise _CliError(f"tangle-check takes -n up to {MAX_TANGLE_N} for this tanglegram, "
-                        f"got {args.n}")
+    if tangle.size >= args.n:  # else it is NOT universal at once
+        _refuse_long_tangle_listing("tangle-check", args.n, args.d, " for this tanglegram")
     universal = is_universal_tanglegram(tangle, args.n)
-    if args.format == "json":
-        _write(
-            _dump(
-                {"text": format_tanglegram(tangle), "n": args.n, "universal": universal}
-            ),
-            args.output,
-        )
-    else:
-        verdict = "universal" if universal else "NOT universal"
-        _write(f"size-{tangle.size} tanglegram is {verdict} for n={args.n}", args.output)
-    return EXIT_OK if universal else EXIT_CHECK_FAILED
+    payload = {"text": format_tanglegram(tangle), "n": args.n, "universal": universal}
+    text = (f"size-{tangle.size} tanglegram is {'universal' if universal else 'NOT universal'} "
+            f"for n={args.n}")
+    return (EXIT_OK if universal else EXIT_CHECK_FAILED), payload, text
 
 
 # --------------------------------------------------------------------------- #
@@ -471,10 +404,12 @@ def _cmd_tangle_check(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _add_common(parser, *, n_required=True, formats=("text", "json")):
-    if n_required:
-        parser.add_argument("-n", type=int, required=True, help="target size")
+def _add_size(parser):
+    parser.add_argument("-n", type=int, required=True, help="target size")
     parser.add_argument("-d", type=int, default=2, help="arity bound (default 2)")
+
+
+def _add_output(parser, formats=("text", "json")):
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument(
         "--json", dest="format", action="store_const", const="json",
@@ -492,19 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream all shapes with n white leaves")
-    _add_common(p, formats=("text", "json", "newick"))
+    _add_size(p)
+    _add_output(p, ("text", "json", "newick"))
     p.add_argument("--redleaf", action="store_true", help="shapes with one red leaf")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="test a shape for n-universality")
     p.add_argument("shape", help="canonical code / newick, a file, or '-'")
-    _add_common(p)
+    _add_size(p)
+    _add_output(p)
     p.add_argument("--redleaf", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("build", help="build provably universal objects")
-    _add_common(p, formats=("code", "json", "newick", "dot"))
+    _add_size(p)
+    _add_output(p, ("code", "json", "newick", "dot"))
     p.add_argument(
         "--kind", choices=("universal", "redleaf", "comb", "tanglegram"),
         default="universal",
@@ -514,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("search", help="exhaustive minimal-universal-shape search")
-    _add_common(p, formats=("text", "json", "codes"))
+    _add_size(p)
+    _add_output(p, ("text", "json", "codes"))
     p.add_argument("--redleaf", action="store_true")
     p.add_argument("--chain", action="store_true", help="report every level 1..n")
     p.add_argument("--table", action="store_true", help="two-row comparison table")
@@ -532,26 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--jelly", nargs=2, metavar="H,L",
         help="closed form for two jellyfish, e.g. --jelly 1,4 2,2",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--json", dest="format", action="store_const", const="json")
-    p.add_argument("-o", "--output", default=None)
+    _add_output(p)
     p.set_defaults(func=_cmd_mast)
 
     p = sub.add_parser("bounds", help="table of known bounds")
     p.add_argument("--to", type=int, required=True, help="last n of the table")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--json", dest="format", action="store_const", const="json")
-    p.add_argument("-o", "--output", default=None)
+    _add_output(p, ("text", "csv", "json"))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tangle-enumerate", help="stream tanglegram classes of size n")
-    _add_common(p)
+    _add_size(p)
+    _add_output(p)
     p.add_argument("--count", action="store_true")
     p.set_defaults(func=_cmd_tangle_enumerate)
 
     p = sub.add_parser("tangle-check", help="test a tanglegram for n-universality")
     p.add_argument("tanglegram", help="tanglegram text, a file, or '-'")
-    _add_common(p)
+    _add_size(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_tangle_check)
 
     return parser
@@ -560,7 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _check_output(args.output)
+        code, payload, text = args.func(args)
+        if args.format == "json":
+            text = _dump(payload)
+        if text is not None:  # None: a partial ``search --format codes`` has no codes
+            _write(text, args.output)
+        return code
     except (_CliError, ValueError) as exc:
         print(f"utk: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -68,6 +68,11 @@ class TestEnumerate:
         _, out, _ = run_cli(capsys, "enumerate", "-n", "2", "--redleaf")
         assert out.splitlines() == ["(o(or))", "(r(oo))"]
 
+    def test_redleaf_newick(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--redleaf", "--format", "newick")
+        assert (code, err) == (0, "")
+        assert out == "((x,x),(x,R));\n(x,(x,(x,R)));\n(x,(R,(x,x)));\n(R,(x,(x,x)));\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "codes.txt"
         code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-o", str(target))
@@ -189,6 +194,27 @@ class TestBuild:
         _, out, _ = run_cli(capsys, "build", "-n", "2", "--format", "dot")
         assert out.startswith("digraph")
 
+    def test_tanglegram_text(self, capsys):
+        code, out, err = run_cli(capsys, "build", "-n", "2", "--kind", "tanglegram")
+        assert (code, err) == (0, "")
+        side = "((x,(x,x)),((x,(x,x)),(x,(x,x))));"
+        assert out == f"{side}|{side}|0 3 6 1 4 7 2 5 8\n"
+
+    def test_tanglegram_dot(self, capsys):
+        code, out, err = run_cli(capsys, "build", "-n", "2", "--kind", "tanglegram",
+                                 "--format", "dot")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:3] == ["graph tanglegram {", "  rankdir=LR;", '  L0 [shape=box, label=""];']
+        assert len(lines) == 78 and out.endswith("\n}\n")
+        # Two 17-node trees, each node a line and each edge a line, then the
+        # dashed matching.
+        assert [line for line in lines if "dashed" in line] == [
+            f"  L{p} -- R{q} [style=dashed];"
+            for p, q in ((2, 2), (4, 8), (5, 13), (8, 4), (10, 10), (11, 15), (13, 5),
+                         (15, 11), (16, 16))
+        ]
+
 
 class TestSearch:
     def test_text_report(self, capsys):
@@ -211,6 +237,33 @@ class TestSearch:
         lines = out.splitlines()
         assert lines[1].split() == ["kalmar", "1", "2", "3", "5", "6", "9"]
         assert lines[2].split() == ["u(n)", "1", "2", "3", "5", "6", "9"]
+
+    def test_chain_text(self, capsys):
+        code, out, err = run_cli(capsys, "search", "-n", "5", "--chain")
+        assert (code, err) == (0, "")
+        assert out == ("n=1: u=1 (1 minimal shapes)\n"
+                       "n=2: u=2 (1 minimal shapes)\n"
+                       "n=3: u=3 (1 minimal shapes)\n"
+                       "n=4: u=5 (2 minimal shapes)\n"
+                       "n=5: u=6 (1 minimal shapes)\n")
+
+    def test_partial_chain_text(self, capsys):
+        code, out, err = run_cli(capsys, "search", "-n", "8", "--max-candidates", "10", "--chain")
+        assert (code, err) == (3, "")
+        assert out == ("n=1: u=1 (1 minimal shapes)\n"
+                       "n=2: u=2 (1 minimal shapes)\n"
+                       "n=3: u=3 (1 minimal shapes)\n"
+                       "n=4: u=5 (2 minimal shapes)\n"
+                       "n=5: u=? (0 minimal shapes)\n"
+                       "PARTIAL RESULT: stopped at level 5: candidate limit 10 exceeded\n")
+
+    def test_partial_table(self, capsys):
+        code, out, err = run_cli(capsys, "search", "-n", "8", "--max-candidates", "10", "--table")
+        assert (code, err) == (3, "")
+        assert out == ("n         1  2  3  4  5\n"
+                       "kalmar    1  2  3  5  6\n"
+                       "u(n)      1  2  3  5  ?\n"
+                       "PARTIAL RESULT: stopped at level 5: candidate limit 10 exceeded\n")
 
     def test_resource_limit_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "search", "-n", "8", "--max-candidates", "10")
@@ -310,6 +363,14 @@ class TestBounds:
         assert row11.split() == ["11", "21", "37", "81", "-", "20"]
         row12 = out.splitlines()[-1]
         assert row12.split() == ["12", "28", "47", "96", "-", "28"]
+
+    def test_text_header(self, capsys):
+        columns = "u_known  naive_upper  quad_upper  chung_lower  kalmar"
+        _, out, _ = run_cli(capsys, "bounds", "--to", "12")
+        assert out.splitlines()[:2] == [
+            f" n  {columns}", " 1        1            1           1            -       1"]
+        _, out, _ = run_cli(capsys, "bounds", "--to", "3")
+        assert out.splitlines()[0] == f"n  {columns}"
 
     def test_csv(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--to", "4", "--format", "csv")

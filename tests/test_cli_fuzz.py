@@ -2,6 +2,8 @@
 code (0 ok, 1 check failed, 2 usage/parse error, 3 resource limit) with a
 message, never a traceback."""
 
+import time
+
 import pytest
 
 from utk.cli import MAX_BOUNDS_N, MAX_BUILD_LEAVES, MAX_COUNT_N, MAX_TANGLE_N, main
@@ -94,9 +96,36 @@ def test_huge_n_is_refused_before_work(capsys, argv):
     assert err.startswith("utk: ") and str(limit) in err, err
 
 
+# Eight leaves a side, arity 3.
+TERNARY_8 = "|".join(("(x,x,(x,x,(x,x,(x,x))));",) * 2 + (" ".join(map(str, range(8))),))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tangle-enumerate", "-n", "8", "-d", "3", "--count"),
+     "tangle-enumerate takes -n up to 7 with -d 3"),
+    (("tangle-enumerate", "-n", "7", "-d", "4"), "tangle-enumerate takes -n up to 6 with -d 4"),
+    (("tangle-enumerate", "-n", "7", "-d", "9", "--json"),
+     "tangle-enumerate takes -n up to 6 with -d 9"),
+    (("tangle-check", TERNARY_8, "-n", "8", "-d", "3"),
+     "tangle-check takes -n up to 7 for this tanglegram with -d 3"),
+], ids=lambda value: " ".join(value)[:60] if isinstance(value, tuple) else "")
+def test_tangle_listing_cap_depends_on_arity(capsys, argv, message):
+    # Listing scans count_shapes(n, d)²·n! matchings; n is capped where that
+    # passes the binary listing at MAX_TANGLE_N (ternary n = 8 would take
+    # about 35 minutes).
+    start = time.monotonic()
+    code = main(list(argv))
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"utk: {message}, got {argv[argv.index('-n') + 1]}\n"
+
+
 def test_small_tanglegram_gets_its_verdict_at_any_n(capsys):
     # A tanglegram with fewer than n leaves a side lists no class.
     assert main(["tangle-check", WIDE_TANGLE, "-n", str(WIDE + 1)]) == 1
+    assert "NOT universal" in capsys.readouterr().out
+    assert main(["tangle-check", TERNARY_8, "-n", "9", "-d", "3"]) == 1
     assert "NOT universal" in capsys.readouterr().out
 
 
@@ -106,6 +135,7 @@ WRITING = [
     ("build", "-n", "2"),
     ("search", "-n", "3"),
     ("search", "-n", "3", "--chain", "--json"),
+    ("search", "-n", "6", "-d", "3", "--max-seconds", "30"),  # runs for seconds
     ("mast", "(oo)", "(oo)"),
     ("bounds", "--to", "3"),
     ("tangle-enumerate", "-n", "3"),
@@ -116,11 +146,23 @@ WRITING = [
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 @pytest.mark.parametrize("argv", WRITING, ids=lambda argv: " ".join(argv))
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, where):
+    # Found before the command's work, not after it.
     path = str(tmp_path / "missing" / "out" if where == "missing directory" else tmp_path)
+    start = time.monotonic()
     code = main([*argv, "-o", path])
+    assert time.monotonic() - start < 1
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith(f"utk: cannot write {path}: ") and err.count("\n") == 1, err
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    assert err == f"utk: cannot write {path}: {reason}\n"
+
+
+def test_failed_command_leaves_its_output_file_untouched(capsys, tmp_path):
+    target = tmp_path / "kept.txt"
+    target.write_text("earlier output\n")
+    assert main(["check", "((oo)", "-n", "2", "-o", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("utk: cannot parse shape")
+    assert target.read_text() == "earlier output\n"
 
 
 def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
