@@ -14,8 +14,11 @@ Batch commands over the library, one subcommand per area:
 Each command returns its exit code, a JSON payload and a text, and
 ``main`` writes one of them once, at the end: the payload under ``--format
 json`` (``--json`` for short), the text otherwise, to stdout or to ``-o
-FILE``.  ``main`` refuses an ``-o`` path it could not write before the
-command starts, and a command that stops with an error writes nothing.
+FILE``.  A command skips the renderers whose output that format does not
+write (``bounds --json`` builds no cell table, ``build --format dot`` no
+Newick), so the part ``main`` does not write may be left incomplete.
+``main`` refuses an ``-o`` path it could not write before the command
+starts, and a command that stops with an error writes nothing.
 The payloads are plain dicts whose keys are stable:
 
 - enumerate: {n, d, redleaf, count, codes?}
@@ -249,20 +252,25 @@ def _cmd_build(args) -> tuple:
         raise _CliError(f"build -n {args.n} --kind {args.kind} would have more than "
                         f"{MAX_BUILD_LEAVES} leaves (a tanglegram: a side)")
     payload = {"kind": args.kind, "n": args.n, "d": args.d}
+    # Each renderer runs only for the format written: the DOT text is the
+    # one output that needs neither the tanglegram text nor the Newick.
     if args.kind == "tanglegram":
         tangle = build_universal_tanglegram(args.n, d=args.d)
+        if args.format == "dot":
+            return EXIT_OK, payload, tanglegram_dot(tangle)
         payload["size"], payload["text"] = tangle.size, format_tanglegram(tangle)
-        return EXIT_OK, payload, (tanglegram_dot(tangle) if args.format == "dot"
-                                  else payload["text"])
+        return EXIT_OK, payload, payload["text"]
     # comb: -n is the doubling-sequence depth k
     build = {"universal": build_universal, "redleaf": build_universal_redleaf,
              "comb": build_redleaf_comb}[args.kind]
     shape = build(args.n, args.d)
-    payload.update(white_leaves=shape.white_leaves, code=shape.code, newick=to_newick(shape))
+    payload.update(white_leaves=shape.white_leaves, code=shape.code)
+    if args.format in ("code", "dot"):
+        return EXIT_OK, payload, shape.code if args.format == "code" else to_dot(shape)
+    payload["newick"] = to_newick(shape)
     if args.trace and args.format == "json" and args.kind != "comb":  # as slow as the build
         payload["trace"] = construction_trace(args.n, args.d, args.kind == "redleaf")
-    return EXIT_OK, payload, (to_dot(shape) if args.format == "dot" else
-                              payload["newick"] if args.format == "newick" else shape.code)
+    return EXIT_OK, payload, payload["newick"]
 
 
 def _cmd_search(args) -> tuple:
@@ -347,6 +355,8 @@ def _cmd_bounds(args) -> tuple:
     if args.to > MAX_BOUNDS_N:
         raise _CliError(f"bounds takes --to up to {MAX_BOUNDS_N}, got {args.to}")
     rows = bound_table(args.to)
+    if args.format == "json":  # the rows are the payload; no cell table is rendered
+        return EXIT_OK, {"rows": rows}, None
     columns = ("n", "u_known", "naive_upper", "quad_upper", "chung_lower", "kalmar")
     # One cell table; an unknown value is an empty csv cell and a "-" in text.
     cells = [columns, *(["" if row[c] is None else str(row[c]) for c in columns] for row in rows)]

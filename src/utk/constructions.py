@@ -101,6 +101,34 @@ def svec(k: int) -> tuple[int, ...]:
     return seq
 
 
+def _embed_part(part: list[int], kk: int, offset: int) -> list[int]:
+    """``embed_composition`` of ``part`` (positive terms summing to
+    ``2**kk``) into ``svec(kk)`` placed at ``offset``."""
+    if kk == 0:
+        return [offset + 1]
+    half = 2 ** (kk - 1)
+    prefix = 0
+    pivot = 0
+    for i, t in enumerate(part):
+        prefix += t
+        if prefix > half:
+            pivot = i
+            break
+    out: list[int] = []
+    left = part[:pivot]
+    if left:
+        missing = half - sum(left)
+        padded = left + [missing] if missing else left
+        out.extend(_embed_part(padded, kk - 1, offset)[: len(left)])
+    out.append(offset + 2**kk)
+    right = part[pivot + 1 :]
+    if right:
+        missing = half - sum(right)
+        padded = right + [missing] if missing else right
+        out.extend(_embed_part(padded, kk - 1, offset + 2**kk)[: len(right)])
+    return out
+
+
 def embed_composition(composition: Sequence[int], k: int) -> tuple[int, ...]:
     """Strictly increasing 1-based indices a_1 < ... < a_m into ``svec(k)``
     with ``composition[i] <= svec(k)[a_i - 1]`` for every term.
@@ -115,34 +143,7 @@ def embed_composition(composition: Sequence[int], k: int) -> tuple[int, ...]:
         raise ValueError("composition terms must be positive")
     if sum(terms) != 2**k:
         raise ValueError(f"composition must sum to 2**{k} = {2**k}")
-
-    def rec(part: list[int], kk: int, offset: int) -> list[int]:
-        # sum(part) == 2**kk, all terms positive
-        if kk == 0:
-            return [offset + 1]
-        half = 2 ** (kk - 1)
-        prefix = 0
-        pivot = 0
-        for i, t in enumerate(part):
-            prefix += t
-            if prefix > half:
-                pivot = i
-                break
-        out: list[int] = []
-        left = part[:pivot]
-        if left:
-            missing = half - sum(left)
-            padded = left + [missing] if missing else left
-            out.extend(rec(padded, kk - 1, offset)[: len(left)])
-        out.append(offset + 2**kk)
-        right = part[pivot + 1 :]
-        if right:
-            missing = half - sum(right)
-            padded = right + [missing] if missing else right
-            out.extend(rec(padded, kk - 1, offset + 2**kk)[: len(right)])
-        return out
-
-    return tuple(rec(terms, k, 0))
+    return tuple(_embed_part(terms, k, 0))
 
 
 # --------------------------------------------------------------------------- #

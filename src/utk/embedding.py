@@ -61,18 +61,22 @@ def _injective_assignment(pattern_kids: list[int], host_kids: list[int],
                 return True
         return False
     # Kuhn's augmenting-path matching; graph is small (s, t <= arity).
+    fits = [[j for j, h in enumerate(host_kids) if feasible(p, h)] for p in pattern_kids]
     match_of_host = [-1] * t
+    return all(_augment(i, fits, match_of_host, [False] * t) for i in range(s))
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(t):
-            if not seen[j] and feasible(pattern_kids[i], host_kids[j]):
-                seen[j] = True
-                if match_of_host[j] < 0 or augment(match_of_host[j], seen):
-                    match_of_host[j] = i
-                    return True
-        return False
 
-    return all(augment(i, [False] * t) for i in range(s))
+def _augment(i: int, fits: list[list[int]], match_of_host: list[int], seen: list[bool]) -> bool:
+    """Kuhn's step: match pattern child i to a host child it fits
+    (``fits[i]``) not yet ``seen`` on this path, moving earlier matches
+    along an augmenting path."""
+    for j in fits[i]:
+        if not seen[j]:
+            seen[j] = True
+            if match_of_host[j] < 0 or _augment(match_of_host[j], fits, match_of_host, seen):
+                match_of_host[j] = i
+                return True
+    return False
 
 
 def is_induced_subtree(pattern: Shape, host: Shape) -> bool:

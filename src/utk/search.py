@@ -33,10 +33,11 @@ A sweep over size m streams the two highest layers of each kind it reads
 m - 2 and white layers m and m - 1) and stores only the layers below
 them.  Every group that reads a streamed layer pairs it with a one-host
 layer, so a target's column over that group is all ones or the OR of some
-of the streamed layer's columns; these are read, on demand and never
-kept, from the kernels of that layer's own groups, and where one of those
-pairs a one-host layer with a streamed layer in turn, the column sets
-compose and the walk goes one level down.  A streamed layer is stored
+of the streamed layer's columns.  The walk is one recursion: such a group
+is read by reading each group of the streamed layer the same way, with
+the column sets composed on the way down, and a group whose other part is
+stored reads those columns from its kernel, on demand and never kept, and
+ANDs them.  A streamed layer is stored
 when a later sweep needs it below its own two.  So the sweep over size 27,
 the last to decide u(12) = 28, stores white layers up to 24.
 
@@ -47,10 +48,13 @@ lies in B for (o, Q) to embed.  Redleaf: if (R, W) is redleaf
 k-universal with the red leaf in R, then R is redleaf (k - 1)-universal,
 since every (o, Q') embeds and Q' holds the red leaf.  So group (i, m - i)
 of a level-k sweep can hold a winner only if i >= k - 1 or
-m - i >= u(k - 1) (white), or i >= u_red(k - 1) (redleaf).  Where a
-streamed part must be (k - 1)-universal, its own groups are tested at
-level k - 1, one level lower per streamed layer.  The chain records each
-level's u as it is decided, and a level not recorded prunes nothing.  A
+m - i >= u(k - 1) (white), or i >= u_red(k - 1) (redleaf).  One part
+rule applies both: for a group whose hosts must be k-universal it says
+whether to skip the group and the level its other part must meet, k - 1
+for the larger part of a white group with i <= k - 2 and for a streamed
+red part, so the walk tests a streamed part's own groups one level lower
+per streamed layer.  The chain records each level's u as it is decided,
+and a level not recorded prunes nothing.  A
 skipped group still spends its budget, so ``candidates_examined`` does not
 change; the layer builds are not touched.
 
@@ -67,7 +71,8 @@ import math
 import time
 from bisect import bisect_right
 from collections.abc import Callable
-from operator import itemgetter
+from functools import partial, reduce
+from operator import itemgetter, or_
 
 # ``perfbench/run.py --trace 1`` wraps ``is_induced_subtree`` where this
 # module would look it up, so the name stays importable from here.
@@ -357,6 +362,13 @@ def _all_of(piece: Callable[[int], int], order: list[int], ones: int) -> int:
     return acc
 
 
+def _planned(plan: _Plan, piece: Callable[[int], int], ones: int, p: int) -> int:
+    """Target p's piece over a group reached through ``plan``: the OR of
+    ``piece`` at the columns the plan names for p, or ``ones`` for None."""
+    qs = plan[p]
+    return ones if qs is None else reduce(or_, map(piece, qs), 0)
+
+
 def _positions(acc: int, start: int) -> list[int]:
     """Positions of the set bits of ``acc``, counted from ``start``."""
     found = []
@@ -421,21 +433,23 @@ class _BinaryEngine:
     and m - 1) and stores the layers below.  Every group that reads a
     streamed layer pairs it with a one-host layer (white 1 or 2, red 0 or
     1), so every factor from F is 0 or 1, and the group's kernel, run over
-    symbolic columns, names the columns of C that each target ORs.  Over
-    each group of the streamed layer they are read from that inner group's
-    kernel.  Where the inner group's other part is streamed too, its kernel
-    is symbolic as well: the two column sets compose (``_Plan``), and the
-    walk reads them one level further down.  Stored and streamed groups
+    symbolic columns, names the columns of C that each target ORs.
+    ``_survivors`` walks this as one recursion: over each group of the
+    streamed layer the columns are read from that inner group's kernel,
+    and where the inner group's other part is streamed too, its kernel is
+    symbolic as well, the two column sets compose (``_Plan``), and the
+    recursion goes one level further down.  Stored and streamed groups
     follow the same rule.
 
     ``u`` holds the levels the chain has decided (u(k), or u_red(k) in a
     redleaf engine).  From them the part lemmas of the module docstring
-    rule out groups before any kernel reads them (``_hopeless``): a sweep
-    group of level k when i <= k - 2 and m - i < u(k - 1) (white) or
-    i < u_red(k - 1) (red), and in a streamed walk a group of a layer
-    whose hosts must be universal at a lower level (``_inner_need``): the
-    larger part of a white group with i <= k - 2, or the red part of a red
-    group, at k - 1.  The sweep still spends the group's budget.
+    rule out groups before any kernel reads them, by one rule
+    (``_part_rule``) applied to every group the walk reaches: a group
+    whose hosts must be k-universal is skipped when i <= k - 2 and
+    m - i < u(k - 1) (white) or i < u_red(k - 1) (red), and its other part
+    must be (k - 1)-universal when it is the larger part of a white group
+    with i <= k - 2 or the red part of a red group, so the walk tests that
+    part's groups at k - 1.  The sweep still spends the group's budget.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -474,7 +488,7 @@ class _BinaryEngine:
         # ``_all_of``), shared by every sweep of the level.
         self.orders: dict[int, list[int]] = {}
         # u(k) (redleaf: u_red(k)) of each level k decided so far, which
-        # the part lemmas read (see ``_hopeless``); a level not recorded
+        # the part lemmas read (see ``_part_rule``); a level not recorded
         # prunes nothing.
         self.u: dict[int, int] = {}
         self.white_layers = {1: _leaf_layer(pid["o"], self.white_pids)}
@@ -656,86 +670,60 @@ class _BinaryEngine:
         winners: list[int] = []
         layer = self._layer(m, self.redleaf, budget)
         for offset, group in zip(layer.offsets, layer.groups):
-            winners += [offset + pos for pos in self._survivors(group, order, budget, k)]
+            self._survivors(group, order, budget, k, None, offset, winners)
             budget.spend(group.size)
         return winners
 
-    def _hopeless(self, group: _Group, need: int | None) -> bool:
-        """True when no host of ``group`` can be ``need``-universal by the
-        part lemmas (see the class docstring), from the levels in ``u``."""
-        if need is None or (below := self.u.get(need - 1)) is None:
-            return False
-        if group.red:  # the red part has i white leaves
-            return group.i < below
-        # White: the parts have i <= m - i leaves, and the other has m - i.
-        return group.i <= need - 2 and group.other.leaves < below
-
-    @staticmethod
-    def _inner_need(group: _Group, need: int | None) -> int | None:
-        """The level at which each host of ``group``'s other part must be
-        universal for a host of the group to be ``need``-universal, or None
-        when the lemmas ask nothing of it."""
+    def _part_rule(self, group: _Group, need: int | None) -> tuple[bool, int | None]:
+        """The part lemmas (see the class docstring) for a group whose hosts
+        must be ``need``-universal: whether none of them can be, by the
+        levels in ``u``, and the level at which each host of the group's
+        other part must then be universal (None: the lemmas ask nothing of
+        it).  A level not in ``u`` reads as 0, below every part."""
         if need is None:
-            return None
-        if group.red:  # the red part, if it is the other
-            return None if group.fixed_first else need - 1
+            return False, None
+        below = self.u.get(need - 1, 0)
+        if group.red:  # the red part has i white leaves; it is the other when streamed
+            return group.i < below, None if group.fixed_first else need - 1
         # White: the other part is the one with m - i >= i leaves.
-        return need - 1 if group.i <= need - 2 else None
+        if group.i > need - 2:
+            return False, None
+        return group.other.leaves < below, need - 1
 
-    def _survivors(self, group: _Group, order: list[int], budget: _Budget,
-                   need: int) -> list[int]:
-        """Positions among ``group``'s hosts (a tie's kept ones) of those
-        that contain every target: the targets' kernel pieces ANDed in
-        ``order`` up to the first empty result (``_all_of``, which also
-        learns the order).
-        ``need`` is the targets' level k: a group the part lemmas rule out
-        (``_hopeless``) has none and is not read.
+    def _survivors(self, group: _Group, order: list[int], budget: _Budget, need: int | None,
+                   plan: _Plan | None = None, base: int = 0,
+                   hits: list[int] | None = None) -> list[int]:
+        """Positions, counted from ``base`` and appended to ``hits``, of the
+        hosts of ``group`` (a tie's kept ones) that contain every target:
+        the targets' kernel pieces ANDed in ``order`` up to the first empty
+        result (``_all_of``, which also learns the order).  ``need`` is the
+        level the hosts must be universal at; a group the part lemmas rule
+        out (``_part_rule``) adds nothing and is not read.
 
-        A streamed other part is walked by its own groups, each inner
-        group's hosts placed at its offset (a tie's trimmed to the kept
-        ones), and an inner group whose other part is streamed is walked
-        the same way, one level down.  Such a group has a one-host fixed
-        part, so its hosts are its other part's, and its kernel runs over
-        symbolic columns (see ``_kernel``).  Which columns of the layer
-        being walked a target ORs (its ``_Plan``) is composed from the
-        level above and that symbolic kernel; the innermost group's kernel
-        reads those columns, and its AND decides.  Where the lemmas ask a
-        walked layer's hosts to be universal at a lower level
-        (``_inner_need``), its groups are tested at that level and the
-        hopeless ones skipped.  Each kernel is built where it is read."""
-        if self._hopeless(group, need):
-            return []
-        if group.other.cols is not None:
-            acc = _all_of(self._kernel(group), order, group.ones)
-            return _positions(group.triangle(acc) if group.tie else acc, 0)
-        hits: list[int] = []
-
-        def walk(layer: _Layer, plan: _Plan, base: int, need: int | None) -> None:
-            # ``piece`` and ``ones`` are those of the inner group the loop is at.
-            def through(p: int) -> int:
-                qs = plan[p]
-                if qs is None:
-                    return ones
-                col = 0
-                for q in qs:
-                    col |= piece(q)
-                return col
-
+        A group whose other part is streamed has a one-host fixed part, so
+        its hosts are its other part's and its kernel runs over symbolic
+        columns (see ``_kernel``).  Which columns of that part a target ORs
+        (its ``_Plan``) is composed from ``plan``, the plan one level up,
+        and that kernel; each group of the streamed part is then read the
+        same way, at its offset and at the level the lemmas give.  At a
+        group whose other part is stored, a target's piece is read through
+        ``plan`` when there is one, and the AND decides.  Each kernel is
+        built where it is read."""
+        hits = [] if hits is None else hits
+        skip, inner_need = self._part_rule(group, need)
+        if skip:
+            return hits
+        piece = self._kernel(group)
+        if group.other.cols is None:
+            plan, layer = _Plan(plan, piece), group.other
             for offset, inner in zip(layer.offsets, layer.groups):
-                if self._hopeless(inner, need):
-                    continue
                 budget.check_time()
-                piece, ones = self._kernel(inner), inner.ones
-                if inner.other.cols is None:
-                    walk(inner.other, _Plan(plan, piece), base + offset,
-                         self._inner_need(inner, need))
-                    continue
-                acc = _all_of(through, order, ones)
-                if inner.tie:
-                    acc = inner.triangle(acc)
-                hits.extend(_positions(acc, base + offset))
-
-        walk(group.other, _Plan(None, self._kernel(group)), 0, self._inner_need(group, need))
+                self._survivors(inner, order, budget, inner_need, plan, base + offset, hits)
+            return hits
+        if plan is not None:
+            piece = partial(_planned, plan, piece, group.ones)
+        acc = _all_of(piece, order, group.ones)
+        hits += _positions(group.triangle(acc) if group.tie else acc, base)
         return hits
 
 

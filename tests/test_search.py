@@ -633,20 +633,25 @@ class TestPartLemmas:
 
     @staticmethod
     def _run(engine, sweeps):
-        """Per (m, k): the winners, each group's survivors in sweep order,
-        the budget spent, and how many groups the lemmas skipped."""
+        """Per (m, k): the winners and the budget spent, and how many
+        groups the lemmas skipped.  Winners are host indices in group
+        order, so they also say which hosts of each group survived."""
         from utk.search import _Budget
 
-        survive, hopeless = engine._survivors, engine._hopeless
-        survivors, skipped = [], []
-        engine._survivors = lambda *args: survivors.append(survive(*args)) or survivors[-1]
-        engine._hopeless = lambda *args: skipped.append(hopeless(*args)) or skipped[-1]
+        rule = engine._part_rule
+        skipped = []
+
+        def counted(*args):
+            verdict = rule(*args)
+            skipped.append(verdict[0])
+            return verdict
+
+        engine._part_rule = counted
         runs = []
         for m, k in sweeps:
             budget = _Budget(None)
             winners = engine.sweep(m, k, budget)
-            runs.append((m, k, winners, survivors[:], budget.examined))
-            survivors.clear()
+            runs.append((m, k, winners, budget.examined))
         return runs, sum(skipped)
 
     def _recorded_levels_change_nothing(self, make_engine, u_values):
