@@ -7,8 +7,6 @@ Library layout:
   isomorph-free enumeration, text/DOT export.
 - :mod:`utk.embedding`: induced-subtree containment and maximum agreement
   subtree sizes.
-- :mod:`utk.decomposition`: white-leaf centroids and the split procedures
-  behind the recursive universal constructions.
 - :mod:`utk.constructions`: provably universal trees, the comb construction
   for redleaf universality, and universal tanglegrams.
 - :mod:`utk.bounds`: exact integer evaluation of the known size bounds.
@@ -16,6 +14,10 @@ Library layout:
   induced subtanglegrams, universality checking.
 - :mod:`utk.search`: exhaustive minimal-universal-shape search.
 - :mod:`utk.cli`: the ``utk`` command-line tool.
+
+The centroid split and the composition embedding that prove the
+constructions universal are executable proofs in ``tests/proofs.py``,
+which only the tests call.
 """
 
 from utk.shapes import (

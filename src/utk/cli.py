@@ -113,6 +113,13 @@ MAX_BUILD_LEAVES = 2**19
 # and 800 MB, so it refuses a longer table.
 MAX_BOUNDS_N = 100_000
 
+# ``mast --jelly`` prints 2**h·(m + 1 - h), h the smaller height, and Python
+# prints an integer of at most this many digits.  So the CLI refuses a
+# longer answer, and refuses h > 4 * MAX_JELLY_DIGITS (then 2**h is above
+# 16**MAX_JELLY_DIGITS) before it computes 2**h: a height of 10**12 would
+# take terabytes.
+MAX_JELLY_DIGITS = 4_300
+
 
 class _CliError(Exception):
     pass
@@ -340,6 +347,10 @@ def _cmd_mast(args) -> tuple:
                 specs.append(JellyfishSpec(h, ell))
             except ValueError as exc:
                 raise _CliError(f"bad jellyfish spec {token!r}: {exc}") from exc
+        h = min(s.h for s in specs)
+        if h > 4 * MAX_JELLY_DIGITS or jellyfish_mast(*specs) >= 10**MAX_JELLY_DIGITS:
+            raise _CliError(f"mast --jelly prints an answer of up to {MAX_JELLY_DIGITS:,} "
+                            f"digits; these jellyfish (smaller height {h:,}) give more")
         payload = {"mast": jellyfish_mast(*specs), "jelly": [[s.h, s.ell] for s in specs]}
     else:
         if len(args.shapes) != 2:

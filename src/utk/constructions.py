@@ -18,8 +18,9 @@ affecting the universality argument.
 redleaf universality size by sums of plain universality sizes: universal
 shapes of the palindromic doubling sequence sizes are chained onto a path
 ending in the red leaf, and every redleaf shape embeds because every
-composition of ``2**k`` embeds termwise into that sequence
-(:func:`embed_composition`).
+composition of ``2**k`` embeds termwise into that sequence.  The tests
+check that embedding, and the centroid split behind the halving
+recursions, with the executable proofs in ``tests/proofs.py``.
 
 ``build_universal_tanglegram`` blows an n-universal tree up into an
 n-universal tanglegram of quadratic size by hanging a small tree off every
@@ -28,16 +29,13 @@ leaf and wiring each left small tree to all right small trees.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
-from utk.shapes import Shape, _postorder, _Record, caterpillar, graft, join, make_leaf
+from utk.shapes import Shape, _postorder, caterpillar, graft, join, make_leaf
 from utk.tanglegrams import Tanglegram
 
 __all__ = [
-    "CoeffSequences",
-    "coeff_sequences",
     "svec",
-    "embed_composition",
     "build_universal",
     "build_universal_redleaf",
     "build_redleaf_comb",
@@ -49,43 +47,7 @@ PartSource = Callable[[int, bool], "Shape | None"]
 
 
 # --------------------------------------------------------------------------- #
-# Coefficient sequences of the iterated halving bound
-# --------------------------------------------------------------------------- #
-
-
-class CoeffSequences(_Record):
-    """Coefficients (a_k, b_k, c_k), 1-indexed via ``a(k)`` etc.
-
-    ``a_1 = 1``, ``b_1 = d``, ``a_{k+1} = 3 a_k + b_k``,
-    ``b_{k+1} = (2d-2) a_k + d b_k``, and ``c_k = 2 a_k + b_k``.
-    For d = 2 these are the binary sequences, with the closed form
-    ``b_k = (4**k + 2) / 3``; in general ``c_k = (d+2)**k``.
-    """
-
-    __slots__ = ("d", "a", "b", "c")
-
-    def __init__(self, d: int, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]):
-        self._set(d, a, b, c)
-
-    def __call__(self, name: str, k: int) -> int:
-        return getattr(self, name)[k - 1]
-
-
-def coeff_sequences(k_max: int, d: int = 2) -> CoeffSequences:
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
-    a, b = [1], [d]
-    for _ in range(k_max - 1):
-        a_next = 3 * a[-1] + b[-1]
-        b_next = (2 * d - 2) * a[-1] + d * b[-1]
-        a.append(a_next)
-        b.append(b_next)
-    c = [2 * x + y for x, y in zip(a, b)]
-    return CoeffSequences(d=d, a=tuple(a), b=tuple(b), c=tuple(c))
-
-
-# --------------------------------------------------------------------------- #
-# The palindromic doubling sequence and composition embedding
+# The palindromic doubling sequence
 # --------------------------------------------------------------------------- #
 
 
@@ -99,51 +61,6 @@ def svec(k: int) -> tuple[int, ...]:
     for i in range(1, k + 1):
         seq = seq + (2**i,) + seq
     return seq
-
-
-def _embed_part(part: list[int], kk: int, offset: int) -> list[int]:
-    """``embed_composition`` of ``part`` (positive terms summing to
-    ``2**kk``) into ``svec(kk)`` placed at ``offset``."""
-    if kk == 0:
-        return [offset + 1]
-    half = 2 ** (kk - 1)
-    prefix = 0
-    pivot = 0
-    for i, t in enumerate(part):
-        prefix += t
-        if prefix > half:
-            pivot = i
-            break
-    out: list[int] = []
-    left = part[:pivot]
-    if left:
-        missing = half - sum(left)
-        padded = left + [missing] if missing else left
-        out.extend(_embed_part(padded, kk - 1, offset)[: len(left)])
-    out.append(offset + 2**kk)
-    right = part[pivot + 1 :]
-    if right:
-        missing = half - sum(right)
-        padded = right + [missing] if missing else right
-        out.extend(_embed_part(padded, kk - 1, offset + 2**kk)[: len(right)])
-    return out
-
-
-def embed_composition(composition: Sequence[int], k: int) -> tuple[int, ...]:
-    """Strictly increasing 1-based indices a_1 < ... < a_m into ``svec(k)``
-    with ``composition[i] <= svec(k)[a_i - 1]`` for every term.
-
-    The composition must consist of positive terms summing to ``2**k``.
-    Follows the recursive pivot rule: the first prefix exceeding half the
-    total is placed on the middle ``2**k`` entry and the two remainders embed
-    into the two halves, padded by one extra term when they fall short.
-    """
-    terms = list(composition)
-    if any(t < 1 for t in terms):
-        raise ValueError("composition terms must be positive")
-    if sum(terms) != 2**k:
-        raise ValueError(f"composition must sum to 2**{k} = {2**k}")
-    return tuple(_embed_part(terms, k, 0))
 
 
 # --------------------------------------------------------------------------- #

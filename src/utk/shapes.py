@@ -273,13 +273,18 @@ def graft(host: Shape, scion: Shape) -> Shape:
         raise ValueError("graft host has no red leaf")
     if host.arity != scion.arity:
         raise ValueError("mixed arity bounds in graft")
+    return replace_subtree(host, _red_path(host), scion)
+
+
+def _red_path(shape: Shape) -> tuple[int, ...]:
+    """Root path (child indices) to the red leaf of a redleaf shape."""
     path = []
-    node = host
+    node = shape
     while not node.is_leaf:
         j = next(j for j, kid in enumerate(node.children) if kid.has_red)
         path.append(j)
         node = node.children[j]
-    return replace_subtree(host, path, scion)
+    return tuple(path)
 
 
 def caterpillar(n: int, arity: int = 2) -> Shape:
@@ -512,7 +517,8 @@ def _part_multisets(total: int, max_parts: int, arity: int,
                     min_parts: int = 1) -> Iterator[tuple[Shape, ...]]:
     """All multisets of 'min_parts..max_parts' white shapes with the given
     total white-leaf count."""
-    for num in range(min_parts, max_parts + 1):
+    # More than ``total`` parts cannot occur, however large the arity bound.
+    for num in range(min_parts, min(max_parts, total) + 1):
         for sizes in _size_partitions(total, num):
             groups = [(size, len(list(grp))) for size, grp in itertools.groupby(sizes)]
             pools = [

@@ -13,16 +13,10 @@ from contextlib import contextmanager
 import pytest
 
 from oracles import brute_is_induced_subtree
+from proofs import coeff_sequences, embed_composition, split, white_leaf_centroid
 from test_tanglegrams import oracle_class_count
 from utk.bounds import chung_lower, kalmar, quad_upper
-from utk.constructions import (
-    build_universal,
-    build_universal_tanglegram,
-    coeff_sequences,
-    embed_composition,
-    svec,
-)
-from utk.decomposition import split_for_redleaf, split_for_universal, white_leaf_centroid
+from utk.constructions import build_universal, build_universal_tanglegram, svec
 from utk.embedding import is_induced_subtree, jellyfish_mast, mast
 from utk.search import find_min_universal, find_min_universal_chain, is_universal
 from utk.shapes import (
@@ -171,10 +165,10 @@ def test_criterion_8_property_suites():
         # split reassembly identity
         for n in range(2, 10):
             for shape in enumerate_shapes(n):
-                assert split_for_universal(shape).reassemble() == shape
+                assert split(shape).reassemble() == shape
         for n in range(2, 9):
             for shape in enumerate_shapes(n, redleaf=True):
-                assert split_for_redleaf(shape).reassemble() == shape
+                assert split(shape, redleaf=True).reassemble() == shape
 
         # composition-embedding fuzz: 10**4 random compositions, k <= 10
         rng = random.Random(90125)

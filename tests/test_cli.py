@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from utk.cli import MAX_BOUNDS_N, MAX_COUNT_N, MAX_LISTED_SHAPES, main
+from utk.cli import MAX_BOUNDS_N, MAX_COUNT_N, MAX_JELLY_DIGITS, MAX_LISTED_SHAPES, main
 from utk.constructions import build_universal
 from utk.shapes import caterpillar, parse_code
 
@@ -48,6 +48,18 @@ class TestEnumerate:
         # of 23 are not; counting them is still allowed.
         assert run_cli(capsys, "enumerate", "-n", "23")[0] == 2
         assert run_cli(capsys, "enumerate", "-n", "23", "--count")[:2] == (0, "3626149\n")
+
+    def test_huge_arity_bound_answers_at_once(self, capsys):
+        start = time.monotonic()
+        huge = ("-d", "1000000000")
+        assert run_cli(capsys, "enumerate", "-n", "3", *huge) == (0, "(o(oo))\n(ooo)\n", "")
+        code, out, _ = run_cli(capsys, "search", "-n", "2", *huge, "--format", "codes")
+        assert (code, out) == (0, "(oo)\n")
+        code, out, _ = run_cli(capsys, "check", "(oo)", "-n", "2", *huge)
+        assert (code, out) == (0, "(oo) (2 white leaves) is universal for n=2\n")
+        code, out, _ = run_cli(capsys, "tangle-enumerate", "-n", "2", *huge)
+        assert (code, out) == (0, "(x,x);|(x,x);|0 1\n")
+        assert time.monotonic() - start < 5
 
     def test_4ary_count(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-d", "4", "--count")
@@ -333,6 +345,26 @@ class TestMast:
     def test_jellyfish_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "mast", "--jelly", "1,4", "2,2")
         assert (code, out.strip()) == (0, "6")
+
+    def test_jellyfish_answer_too_long_to_print_is_refused(self, capsys):
+        # Refused before 2**h is computed: a height of 10**12 would need
+        # terabytes.
+        start = time.monotonic()
+        for h in ("1000000000000", "20000", "14284"):
+            code, out, err = run_cli(capsys, "mast", "--jelly", f"{h},2", f"{h},2")
+            assert (code, out) == (2, "")
+            assert err == (f"utk: mast --jelly prints an answer of up to "
+                           f"{MAX_JELLY_DIGITS:,} digits; these jellyfish (smaller "
+                           f"height {int(h):,}) give more\n")
+        assert time.monotonic() - start < 5
+        # The answer's length decides, not the height alone: 2**14283 * 2
+        # has exactly 4,300 digits and prints, and so does any answer from
+        # a 4,300-digit ell at h = 0; 2**10 times a 4,297-digit ell does not.
+        code, out, _ = run_cli(capsys, "mast", "--jelly", "14283,2", "14283,2")
+        assert (code, len(out.strip())) == (0, MAX_JELLY_DIGITS)
+        assert run_cli(capsys, "mast", "--jelly", "0," + "9" * 4300, "1,2")[:2] == (0, "3\n")
+        long_ell = "10," + "9" * 4297
+        assert run_cli(capsys, "mast", "--jelly", long_ell, long_ell)[0] == 2
 
     def test_shape_arguments(self, capsys):
         code, out, _ = run_cli(capsys, "mast", "(o(o(oo)))", "((oo)(oo))")

@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from proofs import coeff_sequences, embed_composition
 from utk.bounds import quad_upper
 from utk.constructions import (
     build_redleaf_comb,
     build_universal,
     build_universal_redleaf,
     build_universal_tanglegram,
-    coeff_sequences,
     construction_trace,
-    embed_composition,
     svec,
 )
 from utk.search import is_universal

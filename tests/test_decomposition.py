@@ -1,21 +1,16 @@
-import itertools
+"""The centroid split of ``proofs.py``: tau_W against an independent
+component walk, the halving bounds and exact reassembly for white, redleaf
+and d-ary shapes."""
 
 import pytest
 
-from oracles import all_shapes_upto
-from utk.decomposition import (
-    split_dary,
-    split_for_redleaf,
-    split_for_universal,
-    white_leaf_centroid,
-)
+from proofs import split, white_leaf_centroid
 from utk.shapes import (
     Shape,
     caterpillar,
     complete_tree,
     enumerate_shapes,
     join,
-    leaf_colors,
     make_leaf,
     parse_code,
 )
@@ -106,122 +101,128 @@ class TestCentroid:
 
 
 class TestSplitForUniversal:
+    """White binary shapes."""
+
     def test_b2_splits_at_root(self):
-        split = split_for_universal(complete_tree(2))
-        assert split.f1 == make_leaf("red")
-        assert split.f2 == complete_tree(1)
-        assert split.f3 == complete_tree(1)
-        assert split.kind == "universal"
+        cut = split(complete_tree(2))
+        assert cut.f1 == make_leaf("red")
+        assert cut.parts == (complete_tree(1), complete_tree(1))
+        assert cut.kind == "universal"
 
     def test_smallest_case(self):
-        split = split_for_universal(caterpillar(2))
-        assert split.f1 == make_leaf("red")
-        assert split.f2 == make_leaf() == split.f3
+        cut = split(caterpillar(2))
+        assert cut.f1 == make_leaf("red")
+        assert cut.parts == (make_leaf(), make_leaf())
 
     def test_reassembly_and_bounds_exhaustive(self):
         for n in range(2, 10):
             for shape in enumerate_shapes(n):
-                split = split_for_universal(shape)
-                assert split.reassemble() == shape
-                for part in (split.f1, split.f2, split.f3):
+                cut = split(shape)
+                assert cut.reassemble() == shape
+                assert len(cut.parts) == 2
+                for part in (cut.f1, *cut.parts):
                     assert part.white_leaves <= n // 2
 
     def test_rejects_redleaf_and_tiny(self):
         with pytest.raises(ValueError):
-            split_for_universal(next(enumerate_shapes(2, redleaf=True)))
+            split(next(enumerate_shapes(2, redleaf=True)))
         with pytest.raises(ValueError):
-            split_for_universal(make_leaf())
+            split(make_leaf())
 
 
 class TestSplitForRedleaf:
+    """Redleaf binary shapes: the red part first, the other part second."""
+
     def test_reassembly_exhaustive(self):
         for n in range(2, 9):
             for shape in enumerate_shapes(n, redleaf=True):
-                split = split_for_redleaf(shape)
-                assert split.reassemble() == shape
-                assert split.f2.has_red
-                assert not split.f3.has_red
+                cut = split(shape, redleaf=True)
+                assert cut.reassemble() == shape
+                red, other = cut.parts
+                assert red.has_red
+                assert not other.has_red
 
     def test_descendant_case_example(self):
         # Caterpillar-like shape with the red leaf at the very bottom: the
         # centroid sits above it, so the red leaf is a descendant.
         shape = parse_code("(o(o(o(o(o(or))))))")
-        split = split_for_redleaf(shape)
-        assert split.kind == "redleaf-descendant"
-        assert split.f2.has_red
+        cut = split(shape, redleaf=True)
+        assert cut.kind == "redleaf-descendant"
+        assert cut.parts[0].has_red
 
     def test_case_bounds(self):
         for n in range(2, 9):
             for shape in enumerate_shapes(n, redleaf=True):
-                split = split_for_redleaf(shape)
-                if split.kind == "redleaf-descendant":
-                    for part in (split.f1, split.f2, split.f3):
+                cut = split(shape, redleaf=True)
+                red, other = cut.parts
+                if cut.kind == "redleaf-descendant":
+                    for part in (cut.f1, red, other):
                         assert part.white_leaves <= n // 2
                 else:
-                    assert split.kind == "redleaf-ancestor"
-                    assert split.f1.white_leaves + split.f2.white_leaves <= n // 2
-                    assert split.f3.white_leaves <= n
+                    assert cut.kind == "redleaf-ancestor"
+                    assert cut.f1.white_leaves + red.white_leaves <= n // 2
+                    assert other.white_leaves <= n
 
     def test_ancestor_part_can_exceed_half(self):
         # Regression: the centroid-carrying part is NOT bounded by n/2.
         # Here the centroid lies inside the caterpillar, the red leaf hangs
-        # off the root, and f3 keeps all 4 white leaves.
+        # off the root, and that part keeps all 4 white leaves.
         shape = join([make_leaf("red"), caterpillar(4)])
-        split = split_for_redleaf(shape)
-        assert split.kind == "redleaf-ancestor"
-        assert split.f3.white_leaves == 4 > 4 // 2
-        assert split.reassemble() == shape
+        cut = split(shape, redleaf=True)
+        assert cut.kind == "redleaf-ancestor"
+        assert cut.parts[1].white_leaves == 4 > 4 // 2
+        assert cut.reassemble() == shape
 
     def test_rejects_white_shape(self):
         with pytest.raises(ValueError):
-            split_for_redleaf(caterpillar(3))
+            split(caterpillar(3), redleaf=True)
 
 
 class TestSplitDary:
     def test_three_star(self):
         star = join([make_leaf(arity=3)] * 3, arity=3)
-        split = split_dary(star)
-        assert split.f1 == make_leaf("red", arity=3)
-        assert split.parts == (make_leaf(arity=3),) * 3
+        cut = split(star)
+        assert cut.f1 == make_leaf("red", arity=3)
+        assert cut.parts == (make_leaf(arity=3),) * 3
 
     def test_reassembly_white_exhaustive(self):
         for n in range(2, 7):
             for shape in enumerate_shapes(n, arity=3):
-                split = split_dary(shape)
-                assert split.reassemble() == shape
-                assert split.f1.white_leaves <= n // 2
-                for part in split.parts:
+                cut = split(shape)
+                assert cut.reassemble() == shape
+                assert cut.f1.white_leaves <= n // 2
+                for part in cut.parts:
                     assert part.white_leaves <= n // 2
 
     def test_reassembly_white_4ary(self):
         for n in range(2, 6):
             for shape in enumerate_shapes(n, arity=4):
-                split = split_dary(shape)
-                assert split.reassemble() == shape
-                for part in split.parts:
+                cut = split(shape)
+                assert cut.reassemble() == shape
+                for part in cut.parts:
                     assert part.white_leaves <= n // 2
 
     def test_redleaf_cases(self):
         for n in range(2, 6):
             for shape in enumerate_shapes(n, arity=3, redleaf=True):
-                split = split_dary(shape, redleaf=True)
-                assert split.reassemble() == shape
-                assert split.parts[0].has_red
-                if split.kind == "redleaf-descendant":
-                    assert split.centroid_part is None
-                    assert split.f1.white_leaves <= n // 2
-                    for part in split.parts:
+                cut = split(shape, redleaf=True)
+                assert cut.reassemble() == shape
+                assert cut.parts[0].has_red
+                if cut.kind == "redleaf-descendant":
+                    assert cut.centroid_part is None
+                    assert cut.f1.white_leaves <= n // 2
+                    for part in cut.parts:
                         assert part.white_leaves <= n // 2
                 else:
-                    assert split.kind == "redleaf-ancestor"
-                    assert split.centroid_part == 1
+                    assert cut.kind == "redleaf-ancestor"
+                    assert cut.centroid_part == 1
                     assert (
-                        split.f1.white_leaves + split.parts[0].white_leaves <= n // 2
+                        cut.f1.white_leaves + cut.parts[0].white_leaves <= n // 2
                     )
-                    for idx, part in enumerate(split.parts):
-                        if idx != split.centroid_part and idx != 0:
+                    for idx, part in enumerate(cut.parts):
+                        if idx != cut.centroid_part and idx != 0:
                             assert part.white_leaves <= n // 2
 
     def test_redleaf_flag_mismatch(self):
         with pytest.raises(ValueError):
-            split_dary(caterpillar(3, arity=3), redleaf=True)
+            split(caterpillar(3, arity=3), redleaf=True)

@@ -6,7 +6,6 @@ import gc
 
 import pytest
 
-from utk.constructions import embed_composition
 from utk.embedding import is_induced_subtree
 from utk.search import SearchLimits, find_min_universal_chain
 from utk.shapes import caterpillar, join
@@ -24,7 +23,6 @@ CALLS = {
     "redleaf_chain_5": lambda: find_min_universal_chain(5, redleaf=True),
     "stopped_chain": lambda: find_min_universal_chain(9, limits=SearchLimits(max_candidates=1000)),
     "wide_containment": lambda: is_induced_subtree(*_stars()),
-    "embed_composition": lambda: embed_composition((3, 1, 2, 2), 3),
     "ternary_chain_4": lambda: find_min_universal_chain(4, d=3),
 }
 

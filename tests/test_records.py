@@ -1,7 +1,9 @@
-"""The library's value records: immutable, compared and hashed by value,
-printed as ``Name(field=value, ...)``, and picklable.  (Their validation
-errors are tested with each module.)  And ``import utk`` stays light: no
-module of utk loads ``dataclasses`` or ``typing``."""
+"""The value records: immutable, compared and hashed by value, printed as
+``Name(field=value, ...)``, and picklable.  They are the library's records
+and those of the executable proofs in ``proofs.py``, which subclass the
+same ``_Record``.  (Their validation errors are tested with each module.)
+And ``import utk`` stays light: no module of utk loads ``dataclasses`` or
+``typing``."""
 
 import json
 import os
@@ -13,16 +15,15 @@ import sys
 import pytest
 
 import utk
-from utk.bounds import ChungBound, chung_lower
-from utk.constructions import CoeffSequences, coeff_sequences
-from utk.decomposition import (
+from proofs import (
     CentroidReport,
-    DarySplit,
+    CoeffSequences,
     Split,
-    split_dary,
-    split_for_universal,
+    coeff_sequences,
+    split,
     white_leaf_centroid,
 )
+from utk.bounds import ChungBound, chung_lower
 from utk.search import SearchLimits, SearchReport, find_min_universal_chain
 from utk.shapes import JellyfishSpec, caterpillar, complete_tree, make_leaf
 from utk.tanglegrams import Tanglegram, format_tanglegram
@@ -44,8 +45,7 @@ RECORDS = [
     (REPORT, REPORT_FIELDS),
     (Tanglegram(caterpillar(4), complete_tree(2), (1, 3, 0, 2)), ("left", "right", "matching")),
     (white_leaf_centroid(caterpillar(5)), ("tau", "centroids", "designated")),
-    (split_for_universal(complete_tree(3)), ("f1", "f2", "f3", "kind")),
-    (split_dary(caterpillar(6)), ("f1", "parts", "kind", "centroid_part")),
+    (split(caterpillar(6)), ("f1", "parts", "kind", "centroid_part")),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 
@@ -117,20 +117,20 @@ def test_pinned_reprs():
     assert repr(SearchLimits()) == "SearchLimits(max_candidates=None, max_seconds=None)"
     assert repr(chung_lower(2)) == "ChungBound(k=2, evaluated=5, simplified=3, mast_sum=3)"
     assert repr(coeff_sequences(2)) == "CoeffSequences(d=2, a=(1, 5), b=(2, 6), c=(4, 16))"
-    split = split_for_universal(caterpillar(3))
-    assert repr(split) == (
-        "Split(f1=Shape('(or)'), f2=Shape('o'), f3=Shape('o'), kind='universal')"
+    assert repr(split(caterpillar(3))) == (
+        "Split(f1=Shape('(or)'), parts=(Shape('o'), Shape('o')), kind='universal', "
+        "centroid_part=None)"
     )
 
 
 def test_defaults_and_keywords():
     assert SearchLimits() == SearchLimits(None, None)
     assert REPORT.authoritative is True and REPORT.limit_reason is None
-    split = split_dary(caterpillar(6))
-    assert split.centroid_part is None
-    assert DarySplit(split.f1, split.parts, split.kind) == split
-    assert Split(f1=make_leaf("red"), f2=make_leaf(), f3=make_leaf(), kind="universal") \
-        == Split(make_leaf("red"), make_leaf(), make_leaf(), "universal")
+    cut = split(caterpillar(6))
+    assert cut.centroid_part is None
+    assert Split(cut.f1, cut.parts, cut.kind) == cut
+    assert Split(f1=make_leaf("red"), parts=(make_leaf(), make_leaf()), kind="universal") \
+        == Split(make_leaf("red"), (make_leaf(), make_leaf()), "universal")
     assert ChungBound(k=2, evaluated=5, simplified=3, mast_sum=3) == chung_lower(2)
     assert CoeffSequences(2, (1, 5), (2, 6), (4, 16)) == coeff_sequences(2)
     assert coeff_sequences(2)("c", 2) == 16
@@ -159,7 +159,7 @@ def test_import_loads_no_heavy_stdlib_modules():
     # bodies.  -S keeps site and its imports out of the picture.
     src = pathlib.Path(utk.__file__).resolve().parent.parent
     probe = (
-        "import sys; import utk.cli, utk.decomposition; "
+        "import sys; import utk.cli; "
         "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'}"
         " & set(sys.modules))))"
     )

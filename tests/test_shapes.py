@@ -225,6 +225,16 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 count_shapes(*args)
 
+    def test_arity_bound_beyond_the_leaf_count_lists_at_once(self):
+        # A node has at most n white children (n + 1 with the red leaf), so
+        # a bound of 10**9 lists the same shapes as that one, without
+        # looping up to it.
+        for n in range(1, 9):
+            huge = [s.code for s in enumerate_shapes(n, 10**9)]
+            assert huge == [s.code for s in enumerate_shapes(n, max(n, 2))]
+            huge = [s.code for s in enumerate_shapes(n, 10**9, redleaf=True)]
+            assert huge == [s.code for s in enumerate_shapes(n, n + 1, redleaf=True)]
+
     def test_4ary_count_of_size_four(self):
         assert count_shapes(4, arity=4) == 5
 

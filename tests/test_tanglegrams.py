@@ -235,6 +235,9 @@ class TestEnumeration:
     def test_larger_counts(self):
         assert count_tanglegrams(5) == 114
         assert count_tanglegrams(6) == 1509
+        # Size 7 of the Billey–Konvalinka–Matsen count ("On the enumeration
+        # of tanglegrams and tangled chains").
+        assert count_tanglegrams(7) == 25595
 
     def test_normalized_growth_trend(self):
         # t_{n+1} / ((n+1) t_n) climbs toward the asymptotic base 4.
