@@ -25,7 +25,7 @@ from proofs import (
 )
 from utk.bounds import ChungBound, chung_lower
 from utk.search import SearchLimits, SearchReport, find_min_universal_chain
-from utk.shapes import JellyfishSpec, caterpillar, complete_tree, make_leaf
+from utk.shapes import JellyfishSpec, caterpillar, complete_tree, make_leaf, parse_code
 from utk.tanglegrams import Tanglegram, format_tanglegram
 
 REPORT_FIELDS = ("n", "d", "redleaf", "u_value", "minimal_shapes", "candidates_examined",
@@ -45,9 +45,15 @@ RECORDS = [
     (REPORT, REPORT_FIELDS),
     (Tanglegram(caterpillar(4), complete_tree(2), (1, 3, 0, 2)), ("left", "right", "matching")),
     (white_leaf_centroid(caterpillar(5)), ("tau", "centroids", "designated")),
-    (split(caterpillar(6)), ("f1", "parts", "kind", "centroid_part")),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
+# One Split record serves every arity; its binary and d-ary cases both run.
+SPLIT_FIELDS = ("f1", "parts", "kind", "centroid_part")
+RECORDS += [
+    (split(complete_tree(3)), SPLIT_FIELDS),
+    (split(parse_code("(or(oo))", arity=3), redleaf=True), SPLIT_FIELDS),
+]
+IDS += ["Split", "DarySplit"]
 
 
 def values(record, fields):
