@@ -30,16 +30,20 @@ AND moves to the front, so the targets that fail are tried first.  The AND
 does not depend on the order, so results and budgets do not either.
 A sweep over size m streams the two highest layers of each kind it reads
 (white layers m - 1 and m - 2; for redleaf searches red layers m - 1 and
-m - 2 and white layers m and m - 1) and stores only the layers below
-them.  Every group that reads a streamed layer pairs it with a one-host
-layer, so a target's column over that group is all ones or the OR of some
-of the streamed layer's columns.  The walk is one recursion: such a group
-is read by reading each group of the streamed layer the same way, with
-the column sets composed on the way down, and a group whose other part is
+m - 2 and white layers m and m - 1) unless they are stored already.
+Every group that reads a streamed layer pairs it with a one-host layer,
+so a target's column over that group is all ones or the OR of some of the
+streamed layer's columns.  The walk is one recursion: such a group is
+read by reading each group of the streamed layer the same way, with the
+column sets composed on the way down, and a group whose other part is
 stored reads those columns from its kernel, on demand and never kept, and
-ANDs them.  A streamed layer is stored
-when a later sweep needs it below its own two.  So the sweep over size 27,
-the last to decide u(12) = 28, stores white layers up to 24.
+ANDs them.  Every other layer is stored by one rule, the first time
+something reads it: a group the walk keeps stores its parts (the other
+one unless the sweep streams it), and building a layer stores both parts
+of each of its groups.  A layer that only skipped groups (below) would
+read is never built.  So the sweep over size 27, the last to decide
+u(12) = 28, stores white layers up to 24, and the level-13 sweep over
+size 28 none above 16.
 
 Two exact lemmas about a host's parts let a sweep skip groups that hold no
 winner.  White: if (A, B) is k-universal with |A| <= |B| and
@@ -56,7 +60,7 @@ red part, so the walk tests a streamed part's own groups one level lower
 per streamed layer.  The chain records each level's u as it is decided,
 and a level not recorded prunes nothing.  A
 skipped group still spends its budget, so ``candidates_examined`` does not
-change; the layer builds are not touched.
+change, and it builds no layer.
 
 A sweep over a candidate size is exhaustive before the search moves on, so
 reported minima are exact and catalogs complete.  Searches with d > 2 run
@@ -194,12 +198,12 @@ def is_universal(shape: Shape, n: int, d: int = 2, redleaf: bool = False) -> boo
 
 class _Group:
     """Group (i, m - i) of layer m: the roots over a host a of the fixed
-    part's layer (A hosts, the smaller part, always stored) and a host b of
-    the other part's layer (W hosts, maybe streamed), laid out
-    fixed-host-major as host a·W + b.  A tie (i, i) keeps b >= a, and its
-    ``size`` counts the kept hosts only.  Each part's layer knows its hosts'
-    leaf count (``_Layer.leaves``).  A red group (``red``) is a root over a
-    red and a white part."""
+    part's layer (A hosts, the smaller part, stored before the group is
+    read) and a host b of the other part's layer (W hosts, maybe
+    streamed), laid out fixed-host-major as host a·W + b.  A tie (i, i)
+    keeps b >= a, and its ``size`` counts the kept hosts only.  Each
+    part's layer knows its hosts' leaf count (``_Layer.leaves``).  A red
+    group (``red``) is a root over a red and a white part."""
 
     __slots__ = ("i", "fixed", "other", "fixed_first", "tie", "red", "width", "size",
                  "ones", "spreader", "row_starts", "low", "kept")
@@ -257,8 +261,8 @@ class _Layer:
     over the layer's hosts whose bit h is set when pattern p embeds into
     host h.  A red layer's list also has a slot for each white pid below
     ``pids``; those hold 0 and are never read (see ``_BinaryEngine``).  A
-    streamed layer has ``cols`` None, and a sweep computes its columns
-    group by group.
+    layer not yet stored has ``cols`` None; a sweep that streams it
+    computes its columns group by group.
     """
 
     __slots__ = ("leaves", "pids", "size", "offsets", "groups", "cols", "ones")
@@ -430,10 +434,13 @@ class _BinaryEngine:
     pattern first, and each target that empties an AND moves to its front
     (``_all_of``).  A sweep streams the two highest layers of each kind
     it reads (white m - 1 and m - 2; redleaf: red m - 1 and m - 2, white m
-    and m - 1) and stores the layers below.  Every group that reads a
-    streamed layer pairs it with a one-host layer (white 1 or 2, red 0 or
-    1), so every factor from F is 0 or 1, and the group's kernel, run over
-    symbolic columns, names the columns of C that each target ORs.
+    and m - 1) unless they are stored.  Any other layer is stored when it
+    is first read: by ``_survivors``, as a part of a group it keeps, or by
+    ``_store``, as a part of a group of the layer it builds.  Every group
+    that reads a streamed layer pairs it with a one-host layer (white 1 or
+    2, red 0 or 1), so every factor from F is 0 or 1, and the group's
+    kernel, run over symbolic columns, names the columns of C that each
+    target ORs.
     ``_survivors`` walks this as one recursion: over each group of the
     streamed layer the columns are read from that inner group's kernel,
     and where the inner group's other part is streamed too, its kernel is
@@ -449,7 +456,8 @@ class _BinaryEngine:
     m - i < u(k - 1) (white) or i < u_red(k - 1) (red), and its other part
     must be (k - 1)-universal when it is the larger part of a white group
     with i <= k - 2 or the red part of a red group, so the walk tests that
-    part's groups at k - 1.  The sweep still spends the group's budget.
+    part's groups at k - 1.  The sweep still spends the group's budget,
+    and a skipped group stores nothing.
     """
 
     def __init__(self, n_cap: int, redleaf: bool, budget: _Budget | None = None):
@@ -496,48 +504,41 @@ class _BinaryEngine:
 
     # -- layer construction ------------------------------------------------ #
 
-    def ensure_white_layer(self, m: int, budget: _Budget | None = None) -> None:
-        self._store(self._layer(m, False, budget), budget)
-
-    def ensure_red_layer(self, m: int, budget: _Budget | None = None) -> None:
-        self._store(self._layer(m, True, budget), budget)
-
-    def _layer(self, m: int, red: bool, budget: _Budget | None) -> _Layer:
+    def _layer(self, m: int, red: bool) -> _Layer:
         """Layer m and its groups; it stays streamed until ``_store``
         builds its columns."""
         layers = self.red_layers if red else self.white_layers
         if m not in layers:
             groups = range(m) if red else range(1, m // 2 + 1)
             pids = self.red_pids if red else self.white_pids
-            layers[m] = _Layer(m + red, pids, [self._group(m, i, red, budget) for i in groups])
+            layers[m] = _Layer(m + red, pids, [self._group(m, i, red) for i in groups])
         return layers[m]
 
-    def _group(self, m: int, i: int, red: bool, budget: _Budget | None = None) -> _Group:
+    def _group(self, m: int, i: int, red: bool) -> _Group:
         """Group (i, m - i) of layer m.  The smaller part is fixed, on a
-        size tie the first, and it is stored; the other part may be
-        streamed.  Where a sweep streams a part, the other part has one
-        host, so it is the fixed one."""
-        first = self._layer(i, red, budget)
-        second = self._layer(m - i, False, budget)
+        size tie the first; neither part is stored here.  Where a sweep
+        streams a part, the other part has one host, so it is the fixed
+        one."""
+        first = self._layer(i, red)
+        second = self._layer(m - i, False)
         if second.size < first.size:
-            group = _Group(i, second, first, False, False)
-        else:
-            group = _Group(i, first, second, True, not red and 2 * i == m)
-        self._store(group.fixed, budget)
-        return group
+            return _Group(i, second, first, False, False)
+        return _Group(i, first, second, True, not red and 2 * i == m)
 
-    def _store(self, layer: _Layer, budget: _Budget | None) -> None:
-        """Build a layer's columns from one kernel per group, once its parts
-        are stored: the columns of the layer's own color (``_Layer.pids``)
-        only.  A pattern with more leaves than the layer's hosts keeps a 0
-        column and is never visited.  Each live pattern's column
-        is chained from its pieces, starting at the end with the shorter
-        group, so the long pieces at the other end are copied only once or
-        twice; one column is finished before the next begins, so the
-        partial columns of all patterns never grow side by side."""
+    def _store(self, layer: _Layer, budget: _Budget | None = None) -> None:
+        """Build a layer's columns from one kernel per group, once both
+        parts of each group are stored: the columns of the layer's own
+        color (``_Layer.pids``) only.  A pattern with more leaves than the
+        layer's hosts keeps a 0 column and is never visited.  Each live
+        pattern's column is chained from its pieces, starting at the end
+        with the shorter group, so the long pieces at the other end are
+        copied only once or twice; one column is finished before the next
+        begins, so the partial columns of all patterns never grow side by
+        side."""
         if layer.cols is not None:
             return
         for group in layer.groups:
+            self._store(group.fixed, budget)
             self._store(group.other, budget)
         timed = budget is not None and budget.limits.max_seconds is not None
         leaves = self.leaves
@@ -654,23 +655,19 @@ class _BinaryEngine:
         """The hosts of layer m that are k-universal, by index; exhaustive.
         The two highest layers of each kind the sweep reads (white m - 1
         and m - 2; redleaf: red m - 1 and m - 2, white m and m - 1) are
-        streamed unless they are already stored; the layers below them
-        are stored first.  Each group spends its ``size`` in the budget."""
+        streamed unless they are already stored; every other layer is
+        stored when a group the walk keeps first reads it (``_survivors``).
+        Each group spends its ``size`` in the budget."""
         if not self.redleaf and m == 1:
             budget.spend(1)
             return [0] if k == 1 else []
-        if self.redleaf:
-            self.ensure_red_layer(max(m - 3, 0), budget)
-            self.ensure_white_layer(max(m - 2, 1), budget)
-        else:
-            self.ensure_white_layer(max(m - 3, 1), budget)
         order = self.orders.get(k)
         if order is None:
             order = self.orders[k] = self.target_pids(k)
         winners: list[int] = []
-        layer = self._layer(m, self.redleaf, budget)
+        layer = self._layer(m, self.redleaf)
         for offset, group in zip(layer.offsets, layer.groups):
-            self._survivors(group, order, budget, k, None, offset, winners)
+            self._survivors(group, order, budget, k, layer.leaves - 2, None, offset, winners)
             budget.spend(group.size)
         return winners
 
@@ -691,14 +688,18 @@ class _BinaryEngine:
         return group.other.leaves < below, need - 1
 
     def _survivors(self, group: _Group, order: list[int], budget: _Budget, need: int | None,
-                   plan: _Plan | None = None, base: int = 0,
+                   stream_from: int, plan: _Plan | None = None, base: int = 0,
                    hits: list[int] | None = None) -> list[int]:
         """Positions, counted from ``base`` and appended to ``hits``, of the
         hosts of ``group`` (a tie's kept ones) that contain every target:
         the targets' kernel pieces ANDed in ``order`` up to the first empty
         result (``_all_of``, which also learns the order).  ``need`` is the
         level the hosts must be universal at; a group the part lemmas rule
-        out (``_part_rule``) adds nothing and is not read.
+        out (``_part_rule``) adds nothing and is not read.  A group that is
+        read stores its fixed part, and its other part too when that part
+        has fewer than ``stream_from`` leaves (the sweep's hosts' leaves
+        less two); a larger other part is streamed unless it is stored
+        already.
 
         A group whose other part is streamed has a one-host fixed part, so
         its hosts are its other part's and its kernel runs over symbolic
@@ -713,12 +714,16 @@ class _BinaryEngine:
         skip, inner_need = self._part_rule(group, need)
         if skip:
             return hits
+        self._store(group.fixed, budget)
+        if group.other.leaves < stream_from:
+            self._store(group.other, budget)
         piece = self._kernel(group)
         if group.other.cols is None:
             plan, layer = _Plan(plan, piece), group.other
             for offset, inner in zip(layer.offsets, layer.groups):
                 budget.check_time()
-                self._survivors(inner, order, budget, inner_need, plan, base + offset, hits)
+                self._survivors(inner, order, budget, inner_need, stream_from, plan,
+                                base + offset, hits)
             return hits
         if plan is not None:
             piece = partial(_planned, plan, piece, group.ones)

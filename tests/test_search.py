@@ -189,7 +189,7 @@ class TestEngineBitsets:
 
         engine = _BinaryEngine(5, redleaf=False)
         for m in range(1, 11):
-            engine.ensure_white_layer(m)
+            engine._store(engine._layer(m, False))
         patterns = [s for k in range(1, 6) for s in enumerate_shapes(k)]
         for m in range(1, 11):
             layer = engine.white_layers[m]
@@ -207,9 +207,9 @@ class TestEngineBitsets:
 
         engine = _BinaryEngine(3, redleaf=True)
         for m in range(0, 8):
-            engine.ensure_red_layer(m)
+            engine._store(engine._layer(m, True))
         for m in range(1, 9):
-            engine.ensure_white_layer(m)
+            engine._store(engine._layer(m, False))
         patterns = [s for k in range(1, 4) for s in enumerate_shapes(k)]
         patterns += [s for k in range(0, 4) for s in enumerate_shapes(k, redleaf=True)]
         # A red layer holds red patterns only: every red pid against the
@@ -242,7 +242,7 @@ class TestEngineBitsets:
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(6, redleaf=False)
-        engine.ensure_white_layer(16)
+        engine._store(engine._layer(16, False))
         groups = [g for m in range(2, 17) for g in engine.white_layers[m].groups]
         assert max(g.fixed.size for g in groups if g.tie) == 23
         assert {g.spreader is None for g in groups if g.fixed.size > 1} == {True, False}
@@ -255,7 +255,7 @@ class TestEngineBitsets:
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(3, redleaf=True)
-        engine.ensure_red_layer(14)
+        engine._store(engine._layer(14, True))
         groups = [g for m in range(1, 15) for g in engine.red_layers[m].groups]
         for fixed_first in (True, False):  # the red part fixed, or the white
             oriented = [g for g in groups if g.fixed_first == fixed_first and g.fixed.size > 1]
@@ -282,7 +282,7 @@ class TestGroupKernel:
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(10, redleaf=False)
-        engine.ensure_white_layer(12)
+        engine._store(engine._layer(12, False))
         rows = {1: _rows(engine.white_layers[1])}
         for m in range(2, 13):
             rows[m] = _reference_rows(engine, m, False, rows, {})
@@ -293,7 +293,7 @@ class TestGroupKernel:
         from utk.search import _BinaryEngine
 
         engine = _BinaryEngine(6, redleaf=True)
-        engine.ensure_red_layer(10)
+        engine._store(engine._layer(10, True))
         white = {m: _rows(engine.white_layers[m]) for m in range(1, 11)}
         red = {0: _rows(engine.red_layers[0])}
         for m in range(1, 11):
@@ -328,7 +328,7 @@ class TestGroupKernel:
             return recorded
 
         monkeypatch.setattr(_BinaryEngine, "_kernel", recording)
-        engine.ensure_red_layer(9)
+        engine._store(engine._layer(9, True))
         assert len(calls) > 20
         # A red layer's build visits red patterns only, a white one's white.
         by_color = {False: engine.white_pids, True: engine.red_pids}
@@ -392,7 +392,7 @@ class TestGroupKernel:
         from utk.search import _BinaryEngine, _Group
 
         engine = _BinaryEngine(4, redleaf=False)
-        engine.ensure_white_layer(5)
+        engine._store(engine._layer(5, False))
         group = engine._group(6, 1, False)
         cherry = [s.code for s in engine.patterns].index("(oo)")
         assert group.fixed.cols[cherry] == 0
@@ -437,7 +437,9 @@ class TestStreamedTopLayer:
         groups = [engine._group(m, i, engine.redleaf)
                   for i in (range(m) if engine.redleaf else range(1, m // 2 + 1))]
         order = list(engine.target_pids(k) if order is None else order)
-        return [(engine._survivors(g, order, _Budget(None), k), g.other.cols is None)
+        stream_from = m + engine.redleaf - 2  # the sweep's hosts' leaves less two
+        return [(engine._survivors(g, order, _Budget(None), k, stream_from),
+                 g.other.cols is None)
                 for g in groups]
 
     def _survivors_agree(self, streamed, stored, m, k):
@@ -460,7 +462,7 @@ class TestStreamedTopLayer:
         for m, k in sweeps:
             streamed = _BinaryEngine(9, redleaf=False)
             stored = _BinaryEngine(9, redleaf=False)
-            stored.ensure_white_layer(max(m - 1, 1))
+            stored._store(stored._layer(max(m - 1, 1), False))
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
             self._survivors_agree(streamed, stored, m, k)
             if m >= 5:  # below, white 2 is a one-host fixed part and stored
@@ -475,8 +477,8 @@ class TestStreamedTopLayer:
         for m, k in sweeps:
             streamed = _BinaryEngine(5, redleaf=True)
             stored = _BinaryEngine(5, redleaf=True)
-            stored.ensure_red_layer(m - 1)
-            stored.ensure_white_layer(m)
+            stored._store(stored._layer(m - 1, True))
+            stored._store(stored._layer(m, False))
             assert self._winners(streamed, m, k) == self._winners(stored, m, k), (m, k)
             self._survivors_agree(streamed, stored, m, k)
             if m >= 4:  # below, red 1 or white 2 is a one-host fixed part and stored
@@ -495,8 +497,8 @@ class TestStreamedTopLayer:
             before = {j for j, layer in layers(engine).items() if layer.cols is None}
             stored = make_engine()
             if stored.redleaf:
-                stored.ensure_red_layer(max(m - 1, 0))
-            stored.ensure_white_layer(max(m - 1 + stored.redleaf, 1))
+                stored._store(stored._layer(max(m - 1, 0), True))
+            stored._store(stored._layer(max(m - 1 + stored.redleaf, 1), False))
             assert self._winners(engine, m, k) == self._winners(stored, m, k), (m, k)
             self._survivors_agree(engine, stored, m, k)
             streamed_then_stored |= before & self._stored(layers(engine))
@@ -593,6 +595,25 @@ class TestStreamedTopLayer:
         assert engine.white_layers[18].cols is None
         assert engine.white_layers[17].cols is None
         assert engine.white_layers[16].cols is not None
+
+    def test_layer_no_kept_group_reads_is_not_built(self, monkeypatch):
+        # A layer is built when a group the part rule keeps first reads it.
+        # The redleaf chain's size-17 sweep would read white 15 only in
+        # group (2, 15), which the rule skips at level 6 (2 < u_red(5) = 12),
+        # and no stored layer has it as a part.
+        from utk.search import _BinaryEngine
+
+        engines = []
+        init = _BinaryEngine.__init__
+        monkeypatch.setattr(_BinaryEngine, "__init__",
+                            lambda self, *args: init(self, *args) or engines.append(self))
+        chain = find_min_universal_chain(6, redleaf=True)
+        assert [r.u_value for r in chain] == RED_U_TO_7[:6]
+        assert self._stored(engines[-1].white_layers) == set(range(1, 15))
+        assert 15 in engines[-1].white_layers
+        chain = find_min_universal_chain(10)
+        assert [r.u_value for r in chain] == WHITE_U_TO_11[:10]
+        assert self._stored(engines[-1].white_layers) == set(range(1, 17))
 
 
 class TestPartLemmas:
@@ -850,7 +871,7 @@ class TestTwelveBound:
 
 @pytest.mark.long_run
 @pytest.mark.skipif(os.environ.get("UTK_LONG_RUN") != "1",
-                    reason="about 15 s and 1.7 GB; set UTK_LONG_RUN=1 to run")
+                    reason="about 8-11 s and 1.7 GB; set UTK_LONG_RUN=1 to run")
 class TestTwelveDecided:
     def test_no_shape_below_28_is_12_universal(self):
         # u(12) >= u(11) = 21, so level 12 sweeps from 21.  Every sweep up
@@ -870,7 +891,7 @@ class TestTwelveDecided:
 
 @pytest.mark.long_run
 @pytest.mark.skipif(os.environ.get("UTK_LONG_RUN") != "1",
-                    reason="about 10 s and 2.2 GB; set UTK_LONG_RUN=1 to run")
+                    reason="about 6-8 s and 2.2 GB; set UTK_LONG_RUN=1 to run")
 class TestRedleafEightBound:
     def test_no_redleaf_shape_below_25_is_8_universal(self):
         # u_red(8) >= u_red(7) = 20, so level 8 sweeps from 20.  Every
@@ -885,6 +906,26 @@ class TestRedleafEightBound:
             assert engine.sweep(m, 8, budget) == [], m
         assert budget.examined == 512_621_712
         assert budget.examined == sum(count_shapes(m, redleaf=True) for m in range(20, 25))
+
+
+class TestThirteenBound:
+    def test_no_shape_of_28_leaves_is_13_universal(self):
+        # u(13) >= u(12) = 28, so level 13 sweeps from 28, and the size-28
+        # sweep comes out empty: u(13) >= 29.  This rests on u(12) = 28,
+        # which the gated TestTwelveDecided shows.  The part rule keeps
+        # groups (12, 16), (13, 15) and (14, 14) only (every other part is
+        # smaller than u(12)), so no white layer above 16 is built; white
+        # 25 over the 1,833 patterns of up to 13 leaves would be about
+        # 4.5 GB of columns.
+        from utk.search import _BinaryEngine, _Budget
+
+        engine = _BinaryEngine(13, redleaf=False)
+        engine.u = {k: u for k, u in KNOWN_MIN_UNIVERSAL_SIZE.items() if k <= 12}
+        budget = _Budget(None)
+        assert engine.sweep(28, 13, budget) == []
+        assert budget.examined == count_shapes(28) == 253_450_711
+        stored = {m for m, layer in engine.white_layers.items() if layer.cols is not None}
+        assert max(stored) == 16
 
 
 class TestLongRun:
